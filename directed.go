@@ -44,7 +44,7 @@ func JointOf(g *Digraph, workers int) *JointDistribution {
 // DirectedResult is the output of GenerateDirected / ShuffleDirected.
 type DirectedResult struct {
 	Graph          *Digraph
-	SwapIterations []directed.SwapIterStats
+	SwapIterations []SwapStats
 	Mixed          bool
 	// Stop records how the swap phase ended; with Options.StopPolicy it
 	// carries the adaptive monitor's outcome and checkpoint trail. The

@@ -50,6 +50,7 @@ import (
 
 	"nullgraph/internal/mixing"
 	"nullgraph/internal/obs"
+	"nullgraph/internal/swap"
 )
 
 // Statistic selects the checkpoint trace the Geweke test runs on.
@@ -256,6 +257,24 @@ func (m *Monitor) Observe(successRate, everSwapped float64) bool {
 		m.advanceSchedule()
 	}
 	return false
+}
+
+// Stopper returns m as the swap chain driver's Stopper: the run lasts
+// at most the policy's Budget, and every iteration feeds m its success
+// rate and ever-swapped fraction. The adapter is pointer-shaped, so
+// handing it to swap.Drive does not allocate.
+func (m *Monitor) Stopper() swap.Stopper { return swapStopper{m} }
+
+type swapStopper struct{ m *Monitor }
+
+func (s swapStopper) MaxIterations() int { return s.m.pol.Budget }
+
+func (s swapStopper) Observe(_ int, stats swap.IterStats) bool {
+	sr := 0.0
+	if stats.Attempts > 0 {
+		sr = float64(stats.Successes) / float64(stats.Attempts)
+	}
+	return s.m.Observe(sr, stats.EverSwapped)
 }
 
 // advanceSchedule moves the next checkpoint geometrically, always by at

@@ -262,8 +262,7 @@ func FromEdgeList(el *graph.EdgeList, opt Options) (*Result, error) {
 	return eng.ShuffleSample(el, 0, opt.Stop)
 }
 
-// swapOptions derives the swap configuration shared by runSwaps and
-// Mixer.
+// swapOptions derives the session's swap configuration.
 func (o Options) swapOptions() swap.Options {
 	return swap.Options{
 		Space:        o.Space,
@@ -276,45 +275,3 @@ func (o Options) swapOptions() swap.Options {
 		Recorder:     o.Recorder,
 	}
 }
-
-// Mixer amortizes the swap engine's buffers across many mixing runs.
-//
-// Deprecated: Mixer predates Engine, which owns the scratch of every
-// pipeline phase (not just swapping) and supports cancellation; Mixer
-// is now a thin delegating wrapper kept for compatibility. New code
-// should hold an Engine and call ShuffleSample. Each Mix call remains
-// bit-identical (Workers=1) to the Engine path with the same options
-// and sample index.
-type Mixer struct {
-	opt Options
-	eng *Engine
-}
-
-// NewMixer prepares a mixer for the given pipeline options.
-//
-// Deprecated: use NewEngine.
-func NewMixer(opt Options) *Mixer {
-	return &Mixer{opt: opt, eng: NewEngine(opt)}
-}
-
-// sampleSeed derives the swap seed of one sample in the batch. Sample 0
-// matches a one-shot FromEdgeList with the same Options, so a Mixer is
-// a drop-in for a single call too.
-func (mx *Mixer) sampleSeed(sample uint64) uint64 {
-	return SampleSeed(mx.opt.Seed, sample) + 0x5eed
-}
-
-// Mix swaps el in place as the sample-th member of the batch, reusing
-// the engine state from earlier calls when el's size allows. It applies
-// the same input validation as FromEdgeList.
-func (mx *Mixer) Mix(el *graph.EdgeList, sample uint64) (swap.Result, bool, error) {
-	res, err := mx.eng.ShuffleSample(el, sample, nil)
-	if err != nil {
-		return swap.Result{}, false, err
-	}
-	return res.Swaps, res.Mixed, nil
-}
-
-// Close releases the mixer's engine. Idempotent; the mixer must not be
-// used afterwards.
-func (mx *Mixer) Close() { mx.eng.Close() }

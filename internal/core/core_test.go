@@ -92,6 +92,19 @@ func TestFromDistributionMixUntilSwapped(t *testing.T) {
 	if last.EverSwapped < 1.0 {
 		t.Errorf("EverSwapped = %v at exit", last.EverSwapped)
 	}
+
+	// A reused session mixes every sample of a batch.
+	eng := NewEngine(Options{Workers: 2, Seed: 9, MixUntilSwapped: true, MaxSwapIterations: 200})
+	defer eng.Close()
+	for sample := uint64(0); sample < 2; sample++ {
+		res, err := eng.ShuffleSample(ringEdges(256), sample, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Mixed || res.Stop.Reason != "mixed" {
+			t.Fatalf("sample %d: 256-ring did not mix in 200 iterations (stop %+v)", sample, res.Stop)
+		}
+	}
 }
 
 func TestFromDistributionRejectsInvalid(t *testing.T) {
@@ -175,18 +188,6 @@ func TestFromEdgeListValidation(t *testing.T) {
 		if res.Graph != el {
 			t.Errorf("%s: result must reference the input in place", name)
 		}
-	}
-
-	mx := NewMixer(opt)
-	defer mx.Close()
-	if _, _, err := mx.Mix(nil, 0); err == nil {
-		t.Error("Mixer accepted nil edge list")
-	}
-	if _, _, err := mx.Mix(bad, 0); err == nil {
-		t.Error("Mixer accepted out-of-range endpoint")
-	}
-	if _, _, err := mx.Mix(graph.NewEdgeList(nil, 2), 0); err != nil {
-		t.Errorf("Mixer rejected empty list: %v", err)
 	}
 }
 

@@ -63,31 +63,35 @@ func TestEngineReuseBitIdentical(t *testing.T) {
 			}
 		}
 	}
-}
 
-// TestEngineShuffleMatchesMixer pins the deprecation bridge: Mixer.Mix
-// must remain bit-identical to the Engine path it now delegates to.
-func TestEngineShuffleMatchesMixer(t *testing.T) {
-	opt := Options{Workers: 1, Seed: 13, SwapIterations: 4}
-	mx := NewMixer(opt)
-	defer mx.Close()
-	eng := NewEngine(opt)
-	defer eng.Close()
-	for sample := uint64(0); sample < 3; sample++ {
-		a := ringEdges(1500)
-		if _, _, err := mx.Mix(a, sample); err != nil {
+	// The Shuffle path of the same session: inputs that grow past and
+	// shrink below the buffers sized by earlier samples still give the
+	// one-shot FromEdgeList result seeded with SampleSeed(base, s).
+	for sample, n := range []int{500, 5000, 100} {
+		got := ringEdges(n)
+		if _, err := reused.ShuffleSample(got, uint64(sample), nil); err != nil {
 			t.Fatal(err)
 		}
-		b := ringEdges(1500)
-		if _, err := eng.ShuffleSample(b, sample, nil); err != nil {
+		want := ringEdges(n)
+		oneOpt := opt
+		oneOpt.Seed = SampleSeed(opt.Seed, uint64(sample))
+		if _, err := FromEdgeList(want, oneOpt); err != nil {
 			t.Fatal(err)
 		}
-		for i := range a.Edges {
-			if a.Edges[i] != b.Edges[i] {
-				t.Fatalf("sample %d: Mixer diverges from Engine at edge %d", sample, i)
+		for i := range want.Edges {
+			if got.Edges[i] != want.Edges[i] {
+				t.Fatalf("shuffle sample %d (n=%d): reused engine diverges from one-shot at edge %d", sample, n, i)
 			}
 		}
 	}
+}
+
+func ringEdges(n int) *graph.EdgeList {
+	edges := make([]graph.Edge, n)
+	for i := 0; i < n; i++ {
+		edges[i] = graph.Edge{U: int32(i), V: int32((i + 1) % n)}
+	}
+	return graph.NewEdgeList(edges, n)
 }
 
 // TestEngineProbabilityCacheInvalidation: switching distributions

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"nullgraph/internal/rng"
+	"nullgraph/internal/swap"
 )
 
 // cycleDigraph returns a directed n-cycle: simple, 1-regular in and out.
@@ -151,7 +152,8 @@ func TestSwapArcsDeterministicSingleWorker(t *testing.T) {
 
 func TestSwapArcsUntilMixed(t *testing.T) {
 	al := cycleDigraph(256)
-	res, mixed := SwapArcsUntilMixed(al, SwapOptions{Workers: 2, Seed: 11}, 200)
+	eng := NewSwapEngine(al, SwapOptions{Workers: 2, Seed: 11, TrackSwapped: true})
+	res, mixed := swap.Drive(eng, swap.UntilMixed(200))
 	if !mixed {
 		t.Fatalf("did not mix in %d iterations", len(res.PerIteration))
 	}

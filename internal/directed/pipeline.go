@@ -8,6 +8,7 @@ import (
 	"nullgraph/internal/obs"
 	"nullgraph/internal/par"
 	"nullgraph/internal/rng"
+	"nullgraph/internal/swap"
 )
 
 // Options configures the directed end-to-end pipeline.
@@ -56,7 +57,7 @@ type Result struct {
 	Graph         *ArcList
 	Probabilities *ProbMatrix
 	Phases        PhaseTimes
-	Swaps         SwapResult
+	Swaps         swap.Result
 	Mixed         bool
 	// Stop records how the swap phase ended — fixed-budget reason or
 	// the adaptive monitor's outcome with its checkpoint trail.
@@ -104,56 +105,31 @@ func Generate(d *JointDistribution, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// monitorStopper adapts the converge monitor to the directed Stopper
-// interface, mirroring the undirected session's adapter.
-type monitorStopper struct {
-	mon *converge.Monitor
-}
-
-func (s monitorStopper) Observe(_ int, stats SwapIterStats) bool {
-	sr := 0.0
-	if stats.Attempts > 0 {
-		sr = float64(stats.Successes) / float64(stats.Attempts)
-	}
-	return s.mon.Observe(sr, stats.EverSwapped)
-}
-
-// fixedStop summarizes a fixed-budget (or mixed-heuristic) directed run.
-func fixedStop(opt Options, res SwapResult, mixed bool) *obs.StopReport {
-	reason := "scans"
-	if opt.MixUntilSwapped {
-		reason = "budget"
-		if mixed {
-			reason = "mixed"
-		}
-	}
-	return &obs.StopReport{
-		Policy:     "fixed",
-		Reason:     reason,
-		Iterations: len(res.PerIteration),
-	}
-}
-
 // runSwaps drives the mixing phase shared by Generate and Shuffle,
 // reporting whether the stop flag interrupted it.
 func (res *Result) runSwaps(al *ArcList, opt Options) bool {
 	sopt := SwapOptions{Workers: opt.Workers, Seed: rng.Mix64(opt.Seed) + 0xd15eed, Stop: opt.Stop}
+	var st swap.Stopper = swap.Budget(opt.SwapIterations)
+	var mon *converge.Monitor
 	switch {
 	case opt.StopPolicy != nil:
 		// nil eval forces the monitor onto the success-rate trace; the
 		// monitor also wants the ever-swapped signal, so tracking is on.
-		mon := converge.NewMonitor(*opt.StopPolicy, nil)
+		mon = converge.NewMonitor(*opt.StopPolicy, nil)
 		sopt.TrackSwapped = true
-		res.Swaps, _ = SwapArcsStopper(al, sopt, mon.Policy().Budget, monitorStopper{mon})
+		st = mon.Stopper()
+	case opt.MixUntilSwapped:
+		sopt.TrackSwapped = true
+		st = swap.UntilMixed(opt.maxSwapIterations())
+	}
+	var early bool
+	res.Swaps, early = swap.Drive(NewSwapEngine(al, sopt), st)
+	if mon != nil {
 		out := mon.Outcome()
 		res.Stop = &out
-	case opt.MixUntilSwapped:
-		res.Swaps, res.Mixed = SwapArcsUntilMixed(al, sopt, opt.maxSwapIterations())
-		res.Stop = fixedStop(opt, res.Swaps, res.Mixed)
-	default:
-		sopt.Iterations = opt.SwapIterations
-		res.Swaps = SwapArcs(al, sopt)
-		res.Stop = fixedStop(opt, res.Swaps, false)
+	} else {
+		res.Mixed = early
+		res.Stop = swap.FixedStopReport(opt.MixUntilSwapped, res.Mixed, res.Swaps)
 	}
 	return res.Swaps.Stopped
 }

@@ -5,6 +5,7 @@ import (
 	"nullgraph/internal/par"
 	"nullgraph/internal/permute"
 	"nullgraph/internal/rng"
+	"nullgraph/internal/swap"
 )
 
 // SwapOptions configures a directed swap run; fields mirror the
@@ -15,28 +16,11 @@ type SwapOptions struct {
 	Seed         uint64
 	Probing      hashtable.Probing
 	TrackSwapped bool
-	OnIteration  func(iteration int, stats SwapIterStats)
 	// Stop, when non-nil, is checked between iterations; a tripped flag
-	// ends the run early with SwapResult.Stopped set, leaving the arc
+	// ends the run early with swap.Result.Stopped set, leaving the arc
 	// list valid (joint degrees preserved) but under-mixed.
 	// Cancellation latency is bounded by one iteration.
 	Stop *par.Stop
-}
-
-// SwapIterStats reports one directed swap iteration.
-type SwapIterStats struct {
-	Attempts    int64
-	Successes   int64
-	EverSwapped float64
-}
-
-// SwapResult summarizes a run.
-type SwapResult struct {
-	PerIteration   []SwapIterStats
-	TotalSuccesses int64
-	// Stopped reports that SwapOptions.Stop ended the run before its
-	// iteration budget.
-	Stopped bool
 }
 
 // SwapEngine is the directed analog of Algorithm III.1, with the two
@@ -142,16 +126,26 @@ func (eng *SwapEngine) markSwapped(i int, newly *int64) {
 	}
 }
 
+// Iterate runs one Step unless the stop flag has tripped, which it
+// reports instead; it makes the engine a swap.Chain, so the undirected
+// driver (swap.Drive) runs the directed chain too.
+func (eng *SwapEngine) Iterate() (swap.IterStats, bool) {
+	if eng.opt.Stop.Stopped() {
+		return swap.IterStats{}, true
+	}
+	return eng.Step(), false
+}
+
 // Step runs one full iteration: register all arcs, permute, propose the
 // single legal exchange per adjacent pair, reverse disjoint directed
 // triangles, clear the table.
-func (eng *SwapEngine) Step() SwapIterStats {
+func (eng *SwapEngine) Step() swap.IterStats {
 	arcs := eng.al.Arcs
 	m := len(arcs)
 	it := eng.iteration
 	eng.iteration++
 	if m < 2 {
-		return SwapIterStats{}
+		return swap.IterStats{}
 	}
 	p := eng.p
 
@@ -172,7 +166,7 @@ func (eng *SwapEngine) Step() SwapIterStats {
 
 	sweepSeed := rng.Mix64(eng.opt.Seed) ^ rng.Mix64(uint64(it)+0xabcd0123)
 	pairs := m / 2
-	stats := SwapIterStats{Attempts: int64(pairs)}
+	stats := swap.IterStats{Attempts: int64(pairs)}
 	for w := range eng.successes {
 		eng.successes[w].V = 0
 		eng.newly[w].V = 0
@@ -274,75 +268,7 @@ func (eng *SwapEngine) Step() SwapIterStats {
 
 // SwapArcs performs opt.Iterations directed double-arc swap iterations
 // on al in place.
-func SwapArcs(al *ArcList, opt SwapOptions) SwapResult {
-	eng := NewSwapEngine(al, opt)
-	result := SwapResult{PerIteration: make([]SwapIterStats, 0, opt.Iterations)}
-	for it := 0; it < opt.Iterations; it++ {
-		if opt.Stop.Stopped() {
-			result.Stopped = true
-			return result
-		}
-		stats := eng.Step()
-		result.PerIteration = append(result.PerIteration, stats)
-		result.TotalSuccesses += stats.Successes
-		if opt.OnIteration != nil {
-			opt.OnIteration(it, stats)
-		}
-	}
-	return result
-}
-
-// Stopper receives each iteration's statistics and reports whether the
-// run should stop after that iteration — the directed analog of the
-// undirected swap.Stopper. Implementations must not retain stats.
-type Stopper interface {
-	Observe(iteration int, stats SwapIterStats) bool
-}
-
-// SwapArcsStopper swaps until st requests a stop or maxIterations is
-// reached, reporting whether the stopper fired. A nil stopper degrades
-// to a fixed maxIterations run.
-func SwapArcsStopper(al *ArcList, opt SwapOptions, maxIterations int, st Stopper) (SwapResult, bool) {
-	eng := NewSwapEngine(al, opt)
-	var result SwapResult
-	for it := 0; it < maxIterations; it++ {
-		if opt.Stop.Stopped() {
-			result.Stopped = true
-			return result, false
-		}
-		stats := eng.Step()
-		result.PerIteration = append(result.PerIteration, stats)
-		result.TotalSuccesses += stats.Successes
-		if opt.OnIteration != nil {
-			opt.OnIteration(it, stats)
-		}
-		if st != nil && st.Observe(it, stats) {
-			return result, true
-		}
-	}
-	return result, false
-}
-
-// SwapArcsUntilMixed swaps until every arc has swapped at least once or
-// maxIterations is reached.
-func SwapArcsUntilMixed(al *ArcList, opt SwapOptions, maxIterations int) (SwapResult, bool) {
-	opt.TrackSwapped = true
-	eng := NewSwapEngine(al, opt)
-	var result SwapResult
-	for it := 0; it < maxIterations; it++ {
-		if opt.Stop.Stopped() {
-			result.Stopped = true
-			return result, false
-		}
-		stats := eng.Step()
-		result.PerIteration = append(result.PerIteration, stats)
-		result.TotalSuccesses += stats.Successes
-		if opt.OnIteration != nil {
-			opt.OnIteration(it, stats)
-		}
-		if stats.EverSwapped >= 1.0 {
-			return result, true
-		}
-	}
-	return result, false
+func SwapArcs(al *ArcList, opt SwapOptions) swap.Result {
+	res, _ := swap.Drive(NewSwapEngine(al, opt), swap.Budget(opt.Iterations))
+	return res
 }

@@ -312,9 +312,9 @@ func (w *Writer) TestAndSet(key uint64) bool {
 }
 
 // TestAndSetProbed is TestAndSet additionally reporting how many slots
-// the probe sequence visited (>= 1). Instrumented swap sweeps use it to
-// feed probe-length histograms; the plain TestAndSet stays the
-// uninstrumented hot path.
+// the probe sequence visited (>= 1). The swap engine's loop bodies use
+// it and file the length in a probe-length histogram when a recorder is
+// attached.
 //
 //nullgraph:hotpath
 func (w *Writer) TestAndSetProbed(key uint64) (present bool, probes int) {

@@ -17,15 +17,15 @@
 // Instrumentation is opt-in per run and free when disabled, on two
 // levels:
 //
-//   - Run time: a nil *Recorder disables everything. The swap engine
-//     binds instrumented loop bodies only when a recorder is attached,
-//     so the plain hot path is byte-for-byte the code it was before this
-//     package existed — zero branches, zero loads, zero allocations
-//     added (locked by TestStepDoesNotAllocate and the CI alloc
-//     budget).
+//   - Run time: a nil *Recorder disables everything. The swap engine's
+//     one loop body per phase fetches a nil counter cell and skips
+//     every counter write behind a nil check — one predictable branch
+//     per table probe and per rejection, no loads of recorder state and
+//     no allocations (locked by TestStepDoesNotAllocate and the CI
+//     alloc and ns/op budget).
 //   - Compile time: building with `-tags nullgraph_noobs` sets the
 //     package constant Enabled to false; every `obs.Enabled && rec !=
-//     nil` guard becomes constant-false and the instrumented bodies are
+//     nil` guard becomes constant-false and the counter writes are
 //     dead-code-eliminated.
 //
 // When enabled, hot loops touch only their own worker's Counters cell

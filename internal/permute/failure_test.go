@@ -8,14 +8,15 @@ func TestApplyLengthMismatchPanics(t *testing.T) {
 			t.Error("Apply with mismatched lengths did not panic")
 		}
 	}()
-	Apply([]int{1, 2, 3}, []int32{0}, 1)
+	NewApplier[int](NewScratch()).Apply([]int{1, 2, 3}, []int32{0}, 1, nil)
 }
 
 func TestApplyTrivialSizes(t *testing.T) {
 	// len 0 and 1 are no-ops regardless of target content.
-	Apply([]int{}, []int32{}, 4)
+	ap := NewApplier[int](NewScratch())
+	ap.Apply([]int{}, []int32{}, 4, nil)
 	one := []int{42}
-	Apply(one, []int32{0}, 4)
+	ap.Apply(one, []int32{0}, 4, nil)
 	if one[0] != 42 {
 		t.Error("single-element apply changed data")
 	}
@@ -42,8 +43,9 @@ func TestApplyConsistentAcrossArrays(t *testing.T) {
 		tags[i] = uint8(i % 251)
 	}
 	h := Targets(9, n, 4)
-	Apply(vals, h, 4)
-	Apply(tags, h, 4)
+	sc := NewScratch()
+	NewApplier[int](sc).Apply(vals, h, 4, nil)
+	NewApplier[uint8](sc).Apply(tags, h, 4, nil)
 	for i := range vals {
 		if tags[i] != uint8(vals[i]%251) {
 			t.Fatalf("arrays desynchronized at %d", i)

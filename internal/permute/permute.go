@@ -19,11 +19,9 @@
 // # Scratch reuse
 //
 // The reservation algorithm needs O(n) scratch (reservations, two
-// pending buffers, per-worker loser lists). The one-shot entry points
-// (Targets, Apply, Parallel) allocate it per call; hot loops that
-// permute every iteration — the swap engines — instead hold a Scratch
-// and per-element-type Appliers, which allocate only on first use or
-// growth and are bit-identical to the one-shot paths no matter how
+// pending buffers, per-worker loser lists), held in a Scratch that
+// per-element-type Appliers share. They allocate only on first use or
+// growth and are bit-identical to the serial shuffle no matter how
 // dirty the reused buffers are (see the buffer invariants on Scratch).
 package permute
 
@@ -44,6 +42,10 @@ func FisherYates[T any](r *rng.Source, data []T) {
 	}
 }
 
+// pollEvery is the block length of the cancelable loops: a non-nil
+// stop is polled once per block, outside the per-element loop.
+const pollEvery = 8192
+
 // FillTargets fills h[begin:end) — worker w's chunk — with the
 // deterministic inside-out swap targets for (seed, len(h)): h[i]
 // uniform in [i, len(h)). The per-worker stream depends only on
@@ -51,32 +53,23 @@ func FisherYates[T any](r *rng.Source, data []T) {
 // chunks produces the same array. The worker's source lives on the
 // stack; the call does not allocate.
 //
-//nullgraph:hotpath
-func FillTargets(h []int32, seed uint64, w, begin, end int) {
-	var src rng.Block
-	src.Reseed(rng.Mix64(seed) ^ rng.Mix64(uint64(w)+0x51ed270b))
-	n := len(h)
-	for i := begin; i < end; i++ {
-		h[i] = int32(i) + int32(src.Uint64n(uint64(n-i)))
-	}
-}
-
-// FillTargetsStop is FillTargets with a cooperative stop check every
-// few thousand indices. The generated stream is a prefix of what
-// FillTargets writes for the same (seed, w, begin): polling never
-// consumes randomness, so an untripped stop changes nothing.
+// A tripped stop (nil never trips) ends the fill at the next block
+// boundary. What was written is a prefix of the untripped stream:
+// polling never consumes randomness.
 //
 //nullgraph:hotpath
-func FillTargetsStop(h []int32, seed uint64, w, begin, end int, stop *par.Stop) {
+func FillTargets(h []int32, seed uint64, w, begin, end int, stop *par.Stop) {
 	var src rng.Block
 	src.Reseed(rng.Mix64(seed) ^ rng.Mix64(uint64(w)+0x51ed270b))
 	n := len(h)
 	//nullgraph:cancelable
-	for i := begin; i < end; i++ {
-		if (i-begin)&8191 == 0 && stop.Stopped() {
+	for b := begin; b < end; b += pollEvery {
+		if stop.Stopped() {
 			return
 		}
-		h[i] = int32(i) + int32(src.Uint64n(uint64(n-i)))
+		for i, e := b, min(b+pollEvery, end); i < e; i++ {
+			h[i] = int32(i) + int32(src.Uint64n(uint64(n-i)))
+		}
 	}
 }
 
@@ -85,7 +78,7 @@ func FillTargetsStop(h []int32, seed uint64, w, begin, end int, stop *par.Stop) 
 // for fixed (seed, p).
 func targets(seed uint64, n, p int, h []int32) {
 	par.ForRange(n, p, func(w int, r par.Range) {
-		FillTargets(h[:n], seed, w, r.Begin, r.End)
+		FillTargets(h[:n], seed, w, r.Begin, r.End, nil)
 	})
 }
 
@@ -106,30 +99,22 @@ func Targets(seed uint64, n, p int) []int32 {
 }
 
 // applySerial executes the inside-out shuffle for the given target
-// array. Used both by tests (as the reference) and as the small-input /
-// single-worker fast path.
+// array: the tests' reference and the small-input / single-worker fast
+// path. A tripped stop ends it at the next block boundary, leaving data
+// partially permuted — the same multiset of elements in a different
+// order — never corrupted.
 //
 //nullgraph:hotpath
-func applySerial[T any](data []T, h []int32) {
-	for i := range data {
-		j := h[i]
-		data[i], data[j] = data[j], data[i]
-	}
-}
-
-// applySerialStop is applySerial with a coarse stop poll. An abandoned
-// apply leaves data partially permuted — the same multiset of elements
-// in a different order — never corrupted.
-//
-//nullgraph:hotpath
-func applySerialStop[T any](data []T, h []int32, stop *par.Stop) {
+func applySerial[T any](data []T, h []int32, stop *par.Stop) {
 	//nullgraph:cancelable
-	for i := range data {
-		if i&8191 == 0 && stop.Stopped() {
+	for b := 0; b < len(data); b += pollEvery {
+		if stop.Stopped() {
 			return
 		}
-		j := h[i]
-		data[i], data[j] = data[j], data[i]
+		for i, e := b, min(b+pollEvery, len(data)); i < e; i++ {
+			j := h[i]
+			data[i], data[j] = data[j], data[i]
+		}
 	}
 }
 
@@ -298,11 +283,7 @@ func (a *Applier[T]) Apply(data []T, h []int32, p int, pool *par.Pool) {
 		p = par.Workers(p)
 	}
 	if n < serialCutoff || p == 1 {
-		if a.stop != nil {
-			applySerialStop(data, h, a.stop)
-		} else {
-			applySerial(data, h)
-		}
+		applySerial(data, h, a.stop)
 		return
 	}
 	a.run(data, h, p, pool)
@@ -346,46 +327,4 @@ func (a *Applier[T]) run(data []T, h []int32, p int, pool *par.Pool) {
 	}
 	sc.cur = nil
 	a.data, a.h = nil, nil
-}
-
-// applyParallel forces the reservation-parallel execution with one-shot
-// scratch; tests use it to exercise the parallel path below the serial
-// cutoff.
-func applyParallel[T any](data []T, h []int32, p int) {
-	NewApplier[T](NewScratch()).run(data, h, par.Workers(p), nil)
-}
-
-// Apply permutes data according to a target array from Targets, choosing
-// the serial or reservation-parallel execution by size. One-shot scratch;
-// hot loops should hold an Applier.
-func Apply[T any](data []T, h []int32, p int) {
-	if len(data) != len(h) {
-		panic("permute: Apply length mismatch")
-	}
-	if len(data) <= 1 {
-		return
-	}
-	p = par.Workers(p)
-	if len(data) < serialCutoff || p == 1 {
-		applySerial(data, h)
-		return
-	}
-	applyParallel(data, h, p)
-}
-
-// Parallel shuffles data uniformly at random with p workers, matching
-// the serial inside-out shuffle on the same deterministic target array.
-func Parallel[T any](seed uint64, data []T, p int) {
-	n := len(data)
-	if n <= 1 {
-		return
-	}
-	p = par.Workers(p)
-	h := make([]int32, n)
-	targets(seed, n, p, h)
-	if n < serialCutoff || p == 1 {
-		applySerial(data, h)
-		return
-	}
-	applyParallel(data, h, p)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"nullgraph/internal/par"
 	"nullgraph/internal/rng"
 )
 
@@ -38,11 +39,23 @@ func TestFisherYatesIsPermutation(t *testing.T) {
 	}
 }
 
+// applyParallel forces the reservation-parallel execution with fresh
+// scratch, exercising the parallel path below the serial cutoff.
+func applyParallel[T any](data []T, h []int32, p int) {
+	NewApplier[T](NewScratch()).run(data, h, par.Workers(p), nil)
+}
+
+// shuffle permutes data with p workers through an Applier on the
+// targets for (seed, len(data), p) — the swap engines' permutation.
+func shuffle[T any](seed uint64, data []T, p int) {
+	NewApplier[T](NewScratch()).Apply(data, Targets(seed, len(data), p), p, nil)
+}
+
 func TestParallelIsPermutation(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 100, serialCutoff - 1, serialCutoff, 50000} {
 		for _, p := range []int{1, 2, 4, 8} {
 			data := iota(n)
-			Parallel(123, data, p)
+			shuffle(123, data, p)
 			if !isPermutationOfIota(data) {
 				t.Fatalf("n=%d p=%d: not a permutation", n, p)
 			}
@@ -57,7 +70,7 @@ func TestParallelMatchesSerialApply(t *testing.T) {
 		h := make([]int32, n)
 		targets(77, n, 4, h)
 		want := iota(n)
-		applySerial(want, h)
+		applySerial(want, h, nil)
 		got := iota(n)
 		applyParallel(got, h, 4)
 		for i := range want {
@@ -71,15 +84,15 @@ func TestParallelMatchesSerialApply(t *testing.T) {
 func TestParallelDeterministicForFixedSeedAndWorkers(t *testing.T) {
 	const n = 30000
 	a, b := iota(n), iota(n)
-	Parallel(9, a, 4)
-	Parallel(9, b, 4)
+	shuffle(9, a, 4)
+	shuffle(9, b, 4)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("same (seed,p) diverged at %d", i)
 		}
 	}
 	c := iota(n)
-	Parallel(10, c, 4)
+	shuffle(10, c, 4)
 	same := true
 	for i := range a {
 		if a[i] != c[i] {
@@ -111,7 +124,7 @@ func TestParallelUniformitySmall(t *testing.T) {
 	counts := map[[3]int]int{}
 	for trial := 0; trial < trials; trial++ {
 		data := iota(3)
-		Parallel(uint64(trial), data, 2)
+		shuffle(uint64(trial), data, 2)
 		counts[[3]int{data[0], data[1], data[2]}]++
 	}
 	if len(counts) != 6 {
@@ -133,7 +146,7 @@ func TestParallelUniformityLarge(t *testing.T) {
 	quarters := [4]int{}
 	for trial := 0; trial < trials; trial++ {
 		data := iota(n)
-		Parallel(uint64(trial)+500, data, 4)
+		shuffle(uint64(trial)+500, data, 4)
 		for pos, v := range data {
 			if v == 0 {
 				quarters[pos*4/n]++
@@ -175,9 +188,12 @@ func BenchmarkFisherYates(b *testing.B) {
 func BenchmarkParallelPermutation(b *testing.B) {
 	const n = 1 << 20
 	data := iota(n)
+	h := make([]int32, n)
+	ap := NewApplier[int](NewScratch())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Parallel(uint64(i), data, 0)
+		TargetsInto(uint64(i), 0, h)
+		ap.Apply(data, h, 0, nil)
 	}
 	b.SetBytes(n * 8)
 }

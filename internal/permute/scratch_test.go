@@ -43,7 +43,7 @@ func TestApplierDirtyReuseIsExact(t *testing.T) {
 			seed := uint64(round*31 + p)
 			h := Targets(seed, n, p)
 			want := iota(n)
-			applySerial(want, h)
+			applySerial(want, h, nil)
 			got := iota(n)
 			ap.Apply(got, h, p, nil)
 			for i := range want {
@@ -93,7 +93,7 @@ func TestSharedScratchAcrossAppliers(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		h := Targets(uint64(round)+7, n, 2)
 		wantInt := iota(n)
-		applySerial(wantInt, h)
+		applySerial(wantInt, h, nil)
 		gotInt := iota(n)
 		apInt.Apply(gotInt, h, 2, nil)
 		wantByte := make([]uint8, n)
@@ -102,7 +102,7 @@ func TestSharedScratchAcrossAppliers(t *testing.T) {
 			wantByte[i] = uint8(i)
 			gotByte[i] = uint8(i)
 		}
-		applySerial(wantByte, h)
+		applySerial(wantByte, h, nil)
 		apByte.Apply(gotByte, h, 2, nil)
 		for i := 0; i < n; i++ {
 			if gotInt[i] != wantInt[i] || gotByte[i] != wantByte[i] {

@@ -15,23 +15,23 @@ func TestFillTargetsStopPreTripped(t *testing.T) {
 	}
 	stop := &par.Stop{}
 	stop.Set()
-	FillTargetsStop(h, 11, 0, 0, len(h), stop)
+	FillTargets(h, 11, 0, 0, len(h), stop)
 	for i, v := range h {
 		if v != -1 {
-			t.Fatalf("pre-tripped FillTargetsStop wrote h[%d] = %d", i, v)
+			t.Fatalf("pre-tripped FillTargets wrote h[%d] = %d", i, v)
 		}
 	}
 }
 
 // TestFillTargetsStopUntrippedBitIdentical: an untripped stop must
-// produce exactly the FillTargets stream — polling consumes no
+// produce exactly the nil-stop stream — polling consumes no
 // randomness.
 func TestFillTargetsStopUntrippedBitIdentical(t *testing.T) {
 	const n = 100_000
 	plain := make([]int32, n)
-	FillTargets(plain, 11, 0, 0, n)
+	FillTargets(plain, 11, 0, 0, n, nil)
 	watched := make([]int32, n)
-	FillTargetsStop(watched, 11, 0, 0, n, &par.Stop{})
+	FillTargets(watched, 11, 0, 0, n, &par.Stop{})
 	for i := range plain {
 		if plain[i] != watched[i] {
 			t.Fatalf("stop polling changed the target stream at %d", i)
@@ -101,7 +101,7 @@ func TestApplierStopPreTrippedPreservesMultiset(t *testing.T) {
 	for i := range want {
 		want[i] = int64(i)
 	}
-	applySerial(want, h)
+	applySerial(want, h, nil)
 	for i := range data {
 		if data[i] != want[i] {
 			t.Fatalf("reused Applier diverges from serial reference at %d", i)

@@ -253,7 +253,7 @@ func runSwapUniformity(cfg Config, name string, counts map[int64]int64, defaultS
 		copy(el.Edges, start.Edges)
 		eng.SetSeed(SampleSeed(attemptSeed, i))
 		eng.Reset(el)
-		swap.RunEngine(eng)
+		swap.Drive(eng, swap.Budget(swapChainIterations))
 		return SignatureOfEdges(el.Edges), nil
 	})
 }
@@ -288,7 +288,7 @@ func runSpaceChainUniformity(cfg Config, name string, counts map[int64]int64, sp
 		copy(el.Edges, start.Edges)
 		eng.SetSeed(SampleSeed(attemptSeed, i))
 		eng.Reset(el)
-		swap.RunEngine(eng)
+		swap.Drive(eng, swap.Budget(spaceChainIterations))
 		return SignatureOfEdges(el.Edges), nil
 	}
 	if enum.StubProbs != nil {
@@ -336,7 +336,7 @@ func runConnectedSwapUniformity(cfg Config, name string, counts map[int64]int64,
 		copy(el.Edges, start.Edges)
 		eng.SetSeed(SampleSeed(attemptSeed, i))
 		eng.Reset(el)
-		swap.RunEngine(eng)
+		swap.Drive(eng, swap.Budget(connectedChainIterations))
 		return SignatureOfEdges(el.Edges), nil
 	})
 }

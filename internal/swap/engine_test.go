@@ -142,16 +142,17 @@ func TestEngineResetMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestRunEngineHelpers drives reusable engines under the fixed-budget
+// and until-mixed Stoppers.
 func TestRunEngineHelpers(t *testing.T) {
-	eng := NewEngine(ring(400), Options{Iterations: 6, Workers: 1, Seed: 2})
+	eng := NewEngine(ring(400), Options{Workers: 1, Seed: 2})
 	defer eng.Close()
-	res := RunEngine(eng)
-	if len(res.PerIteration) != 6 {
-		t.Fatalf("RunEngine ran %d iterations, want 6", len(res.PerIteration))
+	if res, early := Drive(eng, Budget(6)); len(res.PerIteration) != 6 || early {
+		t.Fatalf("Budget(6) ran %d iterations (early=%v), want 6", len(res.PerIteration), early)
 	}
 	tracked := NewEngine(ring(256), Options{Workers: 1, Seed: 3, TrackSwapped: true})
 	defer tracked.Close()
-	if _, mixed := RunEngineUntilMixed(tracked, 200); !mixed {
+	if _, mixed := Drive(tracked, UntilMixed(200)); !mixed {
 		t.Error("256-ring did not mix on a reusable engine")
 	}
 	// Reset restarts tracking: the fraction must drop back to zero.
@@ -159,16 +160,13 @@ func TestRunEngineHelpers(t *testing.T) {
 	if f := tracked.EverSwappedFraction(); f != 0 {
 		t.Errorf("EverSwappedFraction after Reset = %v, want 0", f)
 	}
+	// Without tracking the mixing signal never rises, so the run uses
+	// its whole budget and reports no early stop.
 	untracked := NewEngine(ring(64), Options{Workers: 1, Seed: 4})
 	defer untracked.Close()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("RunEngineUntilMixed without TrackSwapped did not panic")
-			}
-		}()
-		RunEngineUntilMixed(untracked, 1)
-	}()
+	if res, mixed := Drive(untracked, UntilMixed(3)); mixed || len(res.PerIteration) != 3 {
+		t.Errorf("untracked UntilMixed(3): mixed=%v after %d iterations, want false after 3", mixed, len(res.PerIteration))
+	}
 }
 
 func TestEngineCloseIdempotent(t *testing.T) {
@@ -196,38 +194,46 @@ func TestStepDoesNotAllocate(t *testing.T) {
 }
 
 // TestInstrumentedEngineMatchesPlain locks the observability layer's
-// non-interference contract: attaching a recorder must not change the
-// chain — the instrumented engine's edge stream is bit-identical to the
-// plain engine's for the same seed.
+// non-interference contract in every stub cell: attaching a recorder
+// must not change the chain — the instrumented engine's edge stream is
+// bit-identical to the plain engine's for the same seed — and the
+// report's rejection split must be exhaustive.
 func TestInstrumentedEngineMatchesPlain(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		plain := ring(3000)
-		instrumented := ring(3000)
-		rec := obs.NewRecorder()
-		Run(plain, Options{Iterations: 4, Workers: workers, Seed: 9, TrackSwapped: true})
-		Run(instrumented, Options{Iterations: 4, Workers: workers, Seed: 9, TrackSwapped: true, Recorder: rec})
-		if workers == 1 && edgeHash(plain) != edgeHash(instrumented) {
-			t.Errorf("workers=%d: recorder changed the chain output", workers)
-		}
-		rep := rec.Report()
-		if len(rep.Iterations) != 4 {
-			t.Fatalf("workers=%d: report has %d iterations, want 4", workers, len(rep.Iterations))
-		}
-		// The rejection split is exhaustive: every proposal either
-		// commits or lands in exactly one rejection counter.
-		for it, r := range rep.Iterations {
-			if got := r.Successes + r.RejectSelfLoop + r.RejectDuplicate + r.RejectPartnerDuplicate; got != r.Attempts {
-				t.Errorf("workers=%d iteration %d: split sums to %d, want %d attempts", workers, it, got, r.Attempts)
+	for _, space := range []graph.Space{graph.SimpleStub, graph.LoopyStub, graph.MultigraphStub} {
+		for _, workers := range []int{1, 4} {
+			plain := ring(3000)
+			instrumented := ring(3000)
+			rec := obs.NewRecorder()
+			Run(plain, Options{Space: space, Iterations: 4, Workers: workers, Seed: 9, TrackSwapped: true})
+			Run(instrumented, Options{Space: space, Iterations: 4, Workers: workers, Seed: 9, TrackSwapped: true, Recorder: rec})
+			if workers == 1 && edgeHash(plain) != edgeHash(instrumented) {
+				t.Errorf("%v workers=%d: recorder changed the chain output", space, workers)
 			}
-		}
-		// Every registration probes the table: the histogram must hold
-		// at least m probes per iteration.
-		var probeCount int64
-		for _, n := range rep.ProbeHistogram {
-			probeCount += n
-		}
-		if probeCount < int64(4*3000) {
-			t.Errorf("workers=%d: probe histogram holds %d samples, want >= %d", workers, probeCount, 4*3000)
+			rep := rec.Report()
+			if len(rep.Iterations) != 4 {
+				t.Fatalf("%v workers=%d: report has %d iterations, want 4", space, workers, len(rep.Iterations))
+			}
+			// The rejection split is exhaustive: every proposal either
+			// commits or lands in exactly one rejection counter.
+			for it, r := range rep.Iterations {
+				if got := r.Successes + r.RejectSelfLoop + r.RejectDuplicate + r.RejectPartnerDuplicate; got != r.Attempts {
+					t.Errorf("%v workers=%d iteration %d: split sums to %d, want %d attempts", space, workers, it, got, r.Attempts)
+				}
+			}
+			// Every registration probes the table: the histogram must
+			// hold at least m probes per iteration. Multigraph-stub
+			// never consults a table, so it records none.
+			var probeCount int64
+			for _, n := range rep.ProbeHistogram {
+				probeCount += n
+			}
+			if space == graph.MultigraphStub {
+				if probeCount != 0 {
+					t.Errorf("%v workers=%d: table-less cell recorded %d probes", space, workers, probeCount)
+				}
+			} else if probeCount < int64(4*3000) {
+				t.Errorf("%v workers=%d: probe histogram holds %d samples, want >= %d", space, workers, probeCount, 4*3000)
+			}
 		}
 	}
 }
@@ -267,7 +273,7 @@ func TestInstrumentedStepSteadyStateAllocs(t *testing.T) {
 }
 
 // TestEngineResetRestartsReport: a rebound engine reports only its
-// latest run (the Mixer batch pattern).
+// latest run (the session batch pattern: Reset per sample).
 func TestEngineResetRestartsReport(t *testing.T) {
 	rec := obs.NewRecorder()
 	eng := NewEngine(ring(512), Options{Workers: 1, Seed: 6, Recorder: rec})

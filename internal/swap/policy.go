@@ -36,14 +36,58 @@
 //     move's key quadruple is unique — making the per-move ratio the
 //     exact proposal ratio. Multiplicities come from a graph.Multiset,
 //     so this path is serial and map-backed; it is intentionally NOT
-//     //nullgraph:hotpath (the parallel stub kernels below are).
+//     //nullgraph:hotpath (the parallel stub policies below are).
 package swap
 
 import (
 	"nullgraph/internal/graph"
 	"nullgraph/internal/hashtable"
+	"nullgraph/internal/obs"
 	"nullgraph/internal/rng"
 )
+
+// verdict is a stub-cell policy's decision on one proposal: accepted,
+// or the reason it was rejected — the RunReport's exhaustive split of
+// attempts.
+type verdict uint8
+
+const (
+	accepted verdict = iota
+	rejectSelfLoop
+	rejectDuplicate
+	rejectPartnerDuplicate
+)
+
+// record files a rejection in the worker's recorder cell.
+//
+//nullgraph:hotpath
+func (v verdict) record(cell *obs.Counters) {
+	switch v {
+	case rejectSelfLoop:
+		cell.RejectSelfLoop++
+	case rejectDuplicate:
+		cell.RejectDuplicate++
+	case rejectPartnerDuplicate:
+		cell.RejectPartnerDuplicate++
+	}
+}
+
+// policy is a stub cell's acceptance rule over the proposal (g, h).
+// wtr is the worker's writer on the iteration's edge table (nil for
+// table-less cells); cell, when non-nil, receives the probe length of
+// every TestAndSet the rule makes.
+type policy func(wtr *hashtable.Writer, cell *obs.Counters, g, h graph.Edge) verdict
+
+// probed files one TestAndSet probe length in cell when a recorder is
+// attached. Small enough to inline, so the policies and the register
+// body keep their plain call depth.
+//
+//nullgraph:hotpath
+func probed(cell *obs.Counters, probes int) {
+	if obs.Enabled && cell != nil {
+		cell.RecordProbe(probes)
+	}
+}
 
 // acceptSimple is the paper's simple-space acceptance rule: commit iff
 // neither proposed edge is a self-loop and neither is already present
@@ -51,19 +95,23 @@ import (
 // iteration — see the package doc for the short-circuit ordering).
 //
 //nullgraph:hotpath
-func acceptSimple(wtr *hashtable.Writer, g, h graph.Edge) bool {
+func acceptSimple(wtr *hashtable.Writer, cell *obs.Counters, g, h graph.Edge) verdict {
 	if g.IsLoop() || h.IsLoop() {
-		return false
+		return rejectSelfLoop
 	}
-	if wtr.TestAndSet(g.Key()) {
-		return false
+	present, probes := wtr.TestAndSetProbed(g.Key())
+	probed(cell, probes)
+	if present {
+		return rejectDuplicate
 	}
-	if wtr.TestAndSet(h.Key()) {
+	present, probes = wtr.TestAndSetProbed(h.Key())
+	probed(cell, probes)
+	if present {
 		// g stays registered: harmless for correctness (it only
 		// suppresses re-proposals of g this iteration).
-		return false
+		return rejectPartnerDuplicate
 	}
-	return true
+	return accepted
 }
 
 // acceptLoopyStub is the loopy-stub rule: loops are legal states, so
@@ -73,15 +121,27 @@ func acceptSimple(wtr *hashtable.Writer, g, h graph.Edge) bool {
 // the first's registration.
 //
 //nullgraph:hotpath
-func acceptLoopyStub(wtr *hashtable.Writer, g, h graph.Edge) bool {
-	if wtr.TestAndSet(g.Key()) {
-		return false
+func acceptLoopyStub(wtr *hashtable.Writer, cell *obs.Counters, g, h graph.Edge) verdict {
+	present, probes := wtr.TestAndSetProbed(g.Key())
+	probed(cell, probes)
+	if present {
+		return rejectDuplicate
 	}
-	if wtr.TestAndSet(h.Key()) {
+	present, probes = wtr.TestAndSetProbed(h.Key())
+	probed(cell, probes)
+	if present {
 		// As in acceptSimple, g's registration persists harmlessly.
-		return false
+		return rejectPartnerDuplicate
 	}
-	return true
+	return accepted
+}
+
+// acceptAll is the multigraph-stub rule: every proposal is a legal
+// state, so the rule never consults the (absent) table.
+//
+//nullgraph:hotpath
+func acceptAll(*hashtable.Writer, *obs.Counters, graph.Edge, graph.Edge) verdict {
+	return accepted
 }
 
 // sameKeyPair reports multiset equality of the two canonical-key

@@ -117,12 +117,12 @@ func TestVertexMHWorkersIrrelevant(t *testing.T) {
 func TestVertexMHResetReuse(t *testing.T) {
 	eng := NewEngine(loopyStart(120), Options{Space: graph.LoopyVertex, Iterations: 3, Seed: 1})
 	defer eng.Close()
-	RunEngine(eng)
+	Drive(eng, Budget(3))
 
 	reused := loopyStart(120)
 	eng.Reset(reused)
 	eng.SetSeed(77)
-	RunEngine(eng)
+	Drive(eng, Budget(3))
 
 	fresh := loopyStart(120)
 	Run(fresh, Options{Space: graph.LoopyVertex, Iterations: 3, Seed: 77})

@@ -36,6 +36,18 @@
 // the only cross-worker atomics are the edge table's CAS slots and the
 // permutation's reservation words. Step must not be called concurrently
 // with itself or with any other method of the same Engine.
+//
+// # One body per phase
+//
+// Each phase of the parallel kernel has exactly one loop body, serving
+// every stub cell with or without a recorder and a stop flag. What
+// differs per cell is the acceptance policy alone (policy.go); a
+// recorder is a per-worker counter cell the body and the policy feed
+// behind a nil check; a stop flag is polled once per fixed-size block,
+// outside the per-element loop. Drive is the one chain driver: the
+// fixed budget, the until-mixed heuristic and the adaptive convergence
+// monitor are Stoppers it consults after every iteration, and the
+// directed engine (internal/directed) runs under it too.
 package swap
 
 import (
@@ -73,7 +85,9 @@ type Options struct {
 	// vertex-labeled MH cells — and requires a connected simple input
 	// (see connected.Connect for the repair) and a simple-cell Space.
 	Connected bool
-	// Iterations is the number of full permute-and-sweep passes.
+	// Iterations is the number of full permute-and-sweep passes Run
+	// makes; an Engine driven by Drive takes its budget from the
+	// Stopper instead.
 	Iterations int
 	// Workers is the parallel width; <= 0 means GOMAXPROCS.
 	Workers int
@@ -103,18 +117,19 @@ type Options struct {
 	// collects chain-health observability: per-iteration rejection
 	// splits, hash-table probe-length histograms, and the ever-swapped
 	// trajectory, aggregated at each iteration's quiescent point into
-	// an obs.RunReport. The cost model is pay-for-use: NewEngine binds
-	// instrumented loop bodies only when a recorder is attached, so a
-	// nil Recorder leaves the hot path — and its zero-allocation
-	// budget — exactly as before.
+	// an obs.RunReport. Every stub cell reports the full split. The
+	// loop bodies are the plain ones: a nil Recorder costs one
+	// predictable nil check per table probe and per rejection, and no
+	// allocation (TestStepDoesNotAllocate, the hotpathalloc analyzer
+	// and the Step bench gate hold that cost down).
 	Recorder *obs.Recorder
-	// Stop, when non-nil, is polled cooperatively inside each phase's
-	// loops (every few thousand indices) and between phases; a tripped
-	// flag ends the run early with Result.Stopped set, leaving the edge
-	// list valid (degree sequence and edge count preserved) but not
-	// fully mixed. Polling never consumes randomness, so untripped runs
-	// are bit-identical with or without a Stop, and a nil Stop leaves
-	// the hot path's zero-allocation budget untouched.
+	// Stop, when non-nil, is polled cooperatively once per block of
+	// each phase's loops (every few thousand indices) and between
+	// phases, with or without a Recorder; a tripped flag ends the run
+	// early with Result.Stopped set, leaving the edge list valid
+	// (degree sequence and edge count preserved) but not fully mixed.
+	// Polling never consumes randomness, so untripped runs are
+	// bit-identical with or without a Stop.
 	Stop *par.Stop
 	// Pool, when non-nil, is an externally owned worker pool the engine
 	// dispatches on instead of creating its own; the pool's width
@@ -185,8 +200,7 @@ func sweepWorkerSeed(sweepSeed uint64, w int) uint64 {
 // Iterations can be run in any grouping without losing tracking state.
 //
 // Engines with more than one worker own parked goroutines; call Close
-// when done with an engine (Run and RunUntilMixed do it for the engines
-// they create). All methods must be called from one goroutine at a
+// when done with an engine (Run does it for the engine it creates). All methods must be called from one goroutine at a
 // time.
 type Engine struct {
 	el  *graph.EdgeList
@@ -203,11 +217,11 @@ type Engine struct {
 	// is false for cells whose acceptance rule never consults the edge
 	// table (multigraph-stub accepts every proposal), which skips the
 	// register and clear phases entirely. accept is the stub-cell
-	// acceptance policy the parallel sweep bodies dispatch through; ms
-	// is the live multiplicity view the vertex-labeled step reads.
+	// acceptance policy the sweep body dispatches through; ms is the
+	// live multiplicity view the vertex-labeled step reads.
 	vertexMH bool
 	useTable bool
-	accept   func(wtr *hashtable.Writer, g, h graph.Edge) bool
+	accept   policy
 	ms       *graph.Multiset
 
 	// connMode selects the serial connectivity-preserving step
@@ -251,22 +265,21 @@ type Engine struct {
 	// is off, which leaves the hot path untouched).
 	rec *obs.Recorder
 
-	// Prebound parallel-region bodies: allocated once here so Step
-	// dispatches them without creating closures. With a recorder
-	// attached, registerBody and sweepBody hold the instrumented
-	// variants instead; Step's dispatch is identical either way. The
-	// *Stop variants poll the stop flag inside their loops; step
-	// selects them only when a stop is attached, so the plain bodies —
-	// and their per-iteration cost — are byte-identical to a build
-	// without cancellation.
-	registerBody     func(w int, r par.Range)
-	targetsBody      func(w int, r par.Range)
-	sweepBody        func(w int, r par.Range)
-	clearBody        func(w int, r par.Range)
-	registerStopBody func(w int, r par.Range)
-	targetsStopBody  func(w int, r par.Range)
-	sweepStopBody    func(w int, r par.Range)
+	// Prebound parallel-region bodies, one per phase: allocated once
+	// here so Step dispatches them without creating closures.
+	registerBody func(w int, r par.Range)
+	targetsBody  func(w int, r par.Range)
+	sweepBody    func(w int, r par.Range)
+	clearBody    func(w int, r par.Range)
 }
+
+// Poll intervals of the cancelable phase bodies: a stop flag is read
+// once per block of this many registrations or proposal pairs, so
+// polling never enters the per-element loop.
+const (
+	registerBlock = 8192
+	sweepBlock    = 2048
+)
 
 // NewEngine prepares a swap engine over el. The engine mutates el's
 // edge slice in place; el must not be resized while the engine is live.
@@ -285,6 +298,7 @@ func NewEngine(el *graph.EdgeList, opt Options) *Engine {
 	case graph.MultigraphStub:
 		// Every proposal is accepted, so the register/clear phases and
 		// the table itself are dead weight; only permute-and-commit runs.
+		eng.accept = acceptAll
 	case graph.LoopyStub:
 		eng.useTable = true
 		eng.accept = acceptLoopyStub
@@ -315,43 +329,69 @@ func NewEngine(el *graph.EdgeList, opt Options) *Engine {
 	eng.successes = make([]par.Cell, p)
 	eng.newly = make([]par.Cell, p)
 
+	// A worker that observes the tripped stop flag leaves its chunk at
+	// the next block boundary; the join still happens, so the engine's
+	// state stays consistent and step() decides what to do with the
+	// partial phase. Polling reads nothing from the RNG streams.
 	eng.registerBody = func(w int, r par.Range) {
 		wtr := eng.writers[w]
+		cell := eng.cell(w)
 		edges := eng.el.Edges
-		for i := r.Begin; i < r.End; i++ {
-			wtr.TestAndSet(edges[i].Key())
+		stop := eng.stop
+		//nullgraph:cancelable
+		for b := r.Begin; b < r.End; b += registerBlock {
+			if stop.Stopped() {
+				return
+			}
+			for i, e := b, min(b+registerBlock, r.End); i < e; i++ {
+				_, probes := wtr.TestAndSetProbed(edges[i].Key())
+				probed(cell, probes)
+			}
 		}
 	}
 	eng.targetsBody = func(w int, r par.Range) {
-		permute.FillTargets(eng.h, eng.permSeed, w, r.Begin, r.End)
+		permute.FillTargets(eng.h, eng.permSeed, w, r.Begin, r.End, eng.stop)
 	}
 	eng.sweepBody = func(w int, r par.Range) {
 		var src rng.Block
 		src.Reseed(sweepWorkerSeed(eng.sweepSeed, w))
 		edges := eng.el.Edges
-		wtr := eng.writers[w]
+		var wtr *hashtable.Writer // table-less cells have no writers
+		if eng.writers != nil {
+			wtr = eng.writers[w]
+		}
+		cell := eng.cell(w)
 		accept := eng.accept
+		stop := eng.stop
 		swapped := eng.swapped
 		var local, newly int64
-		for k := r.Begin; k < r.End; k++ {
-			i, j := 2*k, 2*k+1
-			e, f := edges[i], edges[j]
-			g, hh := rewirePair(e, f, src.Bool())
-			if !accept(wtr, g, hh) {
-				continue
+		//nullgraph:cancelable
+		for b := r.Begin; b < r.End; b += sweepBlock {
+			if stop.Stopped() {
+				break
 			}
-			edges[i], edges[j] = g, hh
-			if swapped != nil {
-				if swapped[i] == 0 {
-					swapped[i] = 1
-					newly++
+			for k, e := b, min(b+sweepBlock, r.End); k < e; k++ {
+				i, j := 2*k, 2*k+1
+				g, hh := rewirePair(edges[i], edges[j], src.Bool())
+				if v := accept(wtr, cell, g, hh); v != accepted {
+					if obs.Enabled && cell != nil {
+						v.record(cell)
+					}
+					continue
 				}
-				if swapped[j] == 0 {
-					swapped[j] = 1
-					newly++
+				edges[i], edges[j] = g, hh
+				if swapped != nil {
+					if swapped[i] == 0 {
+						swapped[i] = 1
+						newly++
+					}
+					if swapped[j] == 0 {
+						swapped[j] = 1
+						newly++
+					}
 				}
+				local++
 			}
-			local++
 		}
 		eng.successes[w].V = local
 		eng.newly[w].V = newly
@@ -360,129 +400,8 @@ func NewEngine(el *graph.EdgeList, opt Options) *Engine {
 		eng.table.ClearRange(r.Begin, r.End)
 	}
 
-	// Cancelable variants. A worker that observes the tripped flag exits
-	// its chunk early; the join still happens, so the engine's state
-	// stays consistent and step() decides what to do with the partial
-	// phase. Polling reads nothing from the RNG streams.
-	eng.registerStopBody = func(w int, r par.Range) {
-		wtr := eng.writers[w]
-		edges := eng.el.Edges
-		stop := eng.stop
-		//nullgraph:cancelable
-		for i := r.Begin; i < r.End; i++ {
-			if (i-r.Begin)&8191 == 0 && stop.Stopped() {
-				return
-			}
-			wtr.TestAndSet(edges[i].Key())
-		}
-	}
-	eng.targetsStopBody = func(w int, r par.Range) {
-		permute.FillTargetsStop(eng.h, eng.permSeed, w, r.Begin, r.End, eng.stop)
-	}
-	eng.sweepStopBody = func(w int, r par.Range) {
-		var src rng.Block
-		src.Reseed(sweepWorkerSeed(eng.sweepSeed, w))
-		edges := eng.el.Edges
-		wtr := eng.writers[w]
-		accept := eng.accept
-		stop := eng.stop
-		swapped := eng.swapped
-		var local, newly int64
-		//nullgraph:cancelable
-		for k := r.Begin; k < r.End; k++ {
-			if (k-r.Begin)&2047 == 0 && stop.Stopped() {
-				break
-			}
-			i, j := 2*k, 2*k+1
-			e, f := edges[i], edges[j]
-			g, hh := rewirePair(e, f, src.Bool())
-			if !accept(wtr, g, hh) {
-				continue
-			}
-			edges[i], edges[j] = g, hh
-			if swapped != nil {
-				if swapped[i] == 0 {
-					swapped[i] = 1
-					newly++
-				}
-				if swapped[j] == 0 {
-					swapped[j] = 1
-					newly++
-				}
-			}
-			local++
-		}
-		eng.successes[w].V = local
-		eng.newly[w].V = newly
-	}
-
-	if opt.Space == graph.MultigraphStub {
-		// Accept-all sweeps: no acceptance state at all, so the bodies
-		// never touch writers (which don't exist for this cell).
-		eng.sweepBody = func(w int, r par.Range) {
-			var src rng.Block
-			src.Reseed(sweepWorkerSeed(eng.sweepSeed, w))
-			edges := eng.el.Edges
-			swapped := eng.swapped
-			var local, newly int64
-			for k := r.Begin; k < r.End; k++ {
-				i, j := 2*k, 2*k+1
-				g, hh := rewirePair(edges[i], edges[j], src.Bool())
-				edges[i], edges[j] = g, hh
-				if swapped != nil {
-					if swapped[i] == 0 {
-						swapped[i] = 1
-						newly++
-					}
-					if swapped[j] == 0 {
-						swapped[j] = 1
-						newly++
-					}
-				}
-				local++
-			}
-			eng.successes[w].V = local
-			eng.newly[w].V = newly
-		}
-		eng.sweepStopBody = func(w int, r par.Range) {
-			var src rng.Block
-			src.Reseed(sweepWorkerSeed(eng.sweepSeed, w))
-			edges := eng.el.Edges
-			stop := eng.stop
-			swapped := eng.swapped
-			var local, newly int64
-			//nullgraph:cancelable
-			for k := r.Begin; k < r.End; k++ {
-				if (k-r.Begin)&2047 == 0 && stop.Stopped() {
-					break
-				}
-				i, j := 2*k, 2*k+1
-				g, hh := rewirePair(edges[i], edges[j], src.Bool())
-				edges[i], edges[j] = g, hh
-				if swapped != nil {
-					if swapped[i] == 0 {
-						swapped[i] = 1
-						newly++
-					}
-					if swapped[j] == 0 {
-						swapped[j] = 1
-						newly++
-					}
-				}
-				local++
-			}
-			eng.successes[w].V = local
-			eng.newly[w].V = newly
-		}
-	}
-
 	if obs.Enabled && opt.Recorder != nil {
 		eng.rec = opt.Recorder
-		// Probe-level instrumentation exists for the simple cells only;
-		// the other cells still flush per-iteration chain statistics.
-		if opt.Space == graph.SimpleStub || opt.Space == graph.SimpleVertex {
-			eng.bindInstrumentedBodies()
-		}
 	}
 	eng.SetStop(opt.Stop)
 
@@ -490,77 +409,15 @@ func NewEngine(el *graph.EdgeList, opt Options) *Engine {
 	return eng
 }
 
-// bindInstrumentedBodies replaces the register and sweep bodies with
-// variants that feed the recorder's per-worker cells: probe lengths for
-// every TestAndSet (registration and proposals alike) and the proposal
-// rejection split. They deliberately duplicate the plain loops — a
-// branch-per-proposal "if instrumented" inside the shared hot loop
-// would tax the disabled path this layer promises to leave free.
-// Counters go to the worker's own cache-line-padded cell, so the
-// instrumented sweep adds no cross-worker traffic either.
-func (eng *Engine) bindInstrumentedBodies() {
-	eng.registerBody = func(w int, r par.Range) {
-		wtr := eng.writers[w]
-		cell := eng.rec.Cell(w)
-		edges := eng.el.Edges
-		for i := r.Begin; i < r.End; i++ {
-			_, probes := wtr.TestAndSetProbed(edges[i].Key())
-			cell.RecordProbe(probes)
-		}
+// cell returns worker w's recorder cell, or nil when no recorder is
+// attached: the loop bodies and policies record behind a nil check.
+//
+//nullgraph:hotpath
+func (eng *Engine) cell(w int) *obs.Counters {
+	if eng.rec == nil {
+		return nil
 	}
-	eng.sweepBody = func(w int, r par.Range) {
-		var src rng.Block
-		src.Reseed(sweepWorkerSeed(eng.sweepSeed, w))
-		edges := eng.el.Edges
-		wtr := eng.writers[w]
-		cell := eng.rec.Cell(w)
-		swapped := eng.swapped
-		var local, newly int64
-		for k := r.Begin; k < r.End; k++ {
-			i, j := 2*k, 2*k+1
-			e, f := edges[i], edges[j]
-			var g, hh graph.Edge
-			if src.Bool() {
-				g = graph.Edge{U: e.U, V: f.U}
-				hh = graph.Edge{U: e.V, V: f.V}
-			} else {
-				g = graph.Edge{U: e.U, V: f.V}
-				hh = graph.Edge{U: e.V, V: f.U}
-			}
-			if g.IsLoop() || hh.IsLoop() {
-				cell.RejectSelfLoop++
-				continue
-			}
-			present, probes := wtr.TestAndSetProbed(g.Key())
-			cell.RecordProbe(probes)
-			if present {
-				cell.RejectDuplicate++
-				continue
-			}
-			present, probes = wtr.TestAndSetProbed(hh.Key())
-			cell.RecordProbe(probes)
-			if present {
-				// g stays registered: harmless for correctness (it only
-				// suppresses re-proposals of g this iteration).
-				cell.RejectPartnerDuplicate++
-				continue
-			}
-			edges[i], edges[j] = g, hh
-			if swapped != nil {
-				if swapped[i] == 0 {
-					swapped[i] = 1
-					newly++
-				}
-				if swapped[j] == 0 {
-					swapped[j] = 1
-					newly++
-				}
-			}
-			local++
-		}
-		eng.successes[w].V = local
-		eng.newly[w].V = newly
-	}
+	return eng.rec.Cell(w)
 }
 
 // bind sizes the per-edge-list state (table, journals, target buffer,
@@ -658,8 +515,6 @@ func (eng *Engine) SetSeed(seed uint64) { eng.opt.Seed = seed }
 
 // SetStop attaches (or, with nil, detaches) a cooperative stop flag for
 // subsequent iterations, propagating it to the permutation appliers.
-// With a nil stop the plain loop bodies run, preserving the
-// zero-allocation, bit-identical hot path.
 func (eng *Engine) SetStop(stop *par.Stop) {
 	eng.stop = stop
 	eng.apEdges.SetStop(stop)
@@ -686,8 +541,19 @@ func (eng *Engine) EverSwappedFraction() float64 {
 
 // Step runs one full swap iteration and returns its statistics.
 func (eng *Engine) Step() IterStats {
-	stats, _ := eng.step()
+	stats, _ := eng.Iterate()
 	return stats
+}
+
+// Iterate runs one iteration like Step, also reporting whether the stop
+// flag interrupted it (an interrupted iteration reports no statistics
+// and skips Options.OnIteration). It makes the Engine a Chain.
+func (eng *Engine) Iterate() (IterStats, bool) {
+	stats, stopped := eng.step()
+	if !stopped && eng.opt.OnIteration != nil {
+		eng.opt.OnIteration(eng.iteration-1, stats)
+	}
+	return stats, stopped
 }
 
 // clearTable restores the edge table and writer counters after an
@@ -708,9 +574,9 @@ func (eng *Engine) clearTable() {
 // interrupted it. An interrupted iteration keeps whatever partial work
 // committed (every committed swap is individually valid, so the edge
 // list stays degree- and simplicity-preserving), restores the hash
-// table, and reports no statistics. With a recorder attached the loop
-// bodies are the instrumented ones, which do not poll; cancellation
-// latency is then bounded by a phase, not a poll interval.
+// table, and reports no statistics. The loop bodies poll once per
+// block, recorder or not, so cancellation latency is bounded by a block
+// of registrations or proposals per worker.
 //
 //nullgraph:hotpath
 func (eng *Engine) step() (IterStats, bool) {
@@ -728,9 +594,6 @@ func (eng *Engine) step() (IterStats, bool) {
 	}
 	pool := eng.pool
 	stop := eng.stop
-	// In-loop polling variants only exist for the plain bodies; the
-	// instrumented ones cancel at phase boundaries.
-	polled := stop != nil && eng.rec == nil
 	if stop.Stopped() {
 		// Nothing touched yet: the table is still clean.
 		return IterStats{}, true
@@ -739,11 +602,7 @@ func (eng *Engine) step() (IterStats, bool) {
 	// Phase 1: register the current edge set (skipped for cells whose
 	// acceptance rule never consults the table).
 	if eng.useTable {
-		if polled {
-			pool.Run(m, eng.registerStopBody)
-		} else {
-			pool.Run(m, eng.registerBody)
-		}
+		pool.Run(m, eng.registerBody)
 		if stop.Stopped() {
 			eng.clearTable()
 			return IterStats{}, true
@@ -753,11 +612,7 @@ func (eng *Engine) step() (IterStats, bool) {
 	// Phase 2: permute. The swapped flags ride along under the same
 	// targets so flag k keeps following edge k.
 	eng.permSeed = permSeedFor(eng.opt.Seed, it)
-	if polled {
-		pool.Run(m, eng.targetsStopBody)
-	} else {
-		pool.Run(m, eng.targetsBody)
-	}
+	pool.Run(m, eng.targetsBody)
 	if stop.Stopped() {
 		eng.clearTable()
 		return IterStats{}, true
@@ -782,11 +637,7 @@ func (eng *Engine) step() (IterStats, bool) {
 		eng.successes[w].V = 0
 		eng.newly[w].V = 0
 	}
-	if polled {
-		pool.Run(pairs, eng.sweepStopBody)
-	} else {
-		pool.Run(pairs, eng.sweepBody)
-	}
+	pool.Run(pairs, eng.sweepBody)
 	for w := range eng.successes {
 		stats.Successes += eng.successes[w].V
 		eng.swappedCount += eng.newly[w].V
@@ -815,37 +666,63 @@ func (eng *Engine) step() (IterStats, bool) {
 	return stats, false
 }
 
-// Stopper decides, after each completed iteration, whether the chain
-// has run long enough. Observe is called with the 0-based iteration
-// index and that iteration's statistics; returning true ends the run.
-// The swap layer knows nothing about convergence policy — adaptive
-// monitors (internal/converge) plug in here via an adapter, keeping
-// this package free of any dependency on diagnostics.
+// Chain is a swap engine as Drive sees it: Iterate runs one iteration
+// and reports whether the cooperative stop flag interrupted it, in
+// which case its statistics are not reported. Engine and the directed
+// engine are Chains.
+type Chain interface {
+	Iterate() (IterStats, bool)
+}
+
+// Stopper decides how long a chain runs: at most MaxIterations
+// iterations, ending earlier when Observe — called with the 0-based
+// iteration index and that iteration's statistics — returns true. The
+// swap layer knows nothing about convergence policy; adaptive monitors
+// (internal/converge) implement this interface, keeping this package
+// free of any dependency on diagnostics.
 type Stopper interface {
+	MaxIterations() int
 	Observe(it int, stats IterStats) bool
 }
 
-// runLoop drives eng for the given iteration budget, optionally
-// stopping when fully mixed or when a Stopper (if non-nil) fires. The
-// boolean reports whether the mixed/stopper condition ended the run
-// before the budget.
-func runLoop(eng *Engine, iterations int, stopWhenMixed bool, st Stopper) (Result, bool) {
-	result := Result{PerIteration: make([]IterStats, 0, iterations)}
-	for it := 0; it < iterations; it++ {
-		stats, stopped := eng.step()
+// Budget is the fixed-budget Stopper: exactly Budget iterations.
+type Budget int
+
+// MaxIterations returns the budget.
+func (b Budget) MaxIterations() int { return int(b) }
+
+// Observe never ends a fixed-budget run early.
+func (Budget) Observe(int, IterStats) bool { return false }
+
+// UntilMixed is the paper's empirical mixing Stopper: the run ends once
+// every edge has been part of a successful swap, or after UntilMixed
+// iterations. It reads IterStats.EverSwapped, so the engine must be
+// built with Options.TrackSwapped; untracked runs never mix and use
+// the whole budget.
+type UntilMixed int
+
+// MaxIterations returns the iteration cap.
+func (u UntilMixed) MaxIterations() int { return int(u) }
+
+// Observe reports whether every edge has swapped.
+func (UntilMixed) Observe(_ int, stats IterStats) bool { return stats.EverSwapped >= 1 }
+
+// Drive is the chain driver: it advances c until st ends the run or
+// the stop flag interrupts it. The boolean reports whether st.Observe
+// ended the run (false means the budget ran out or the stop flag
+// canceled the run, which Result.Stopped records).
+func Drive(c Chain, st Stopper) (Result, bool) {
+	n := st.MaxIterations()
+	result := Result{PerIteration: make([]IterStats, 0, n)}
+	for it := 0; it < n; it++ {
+		stats, stopped := c.Iterate()
 		if stopped {
 			result.Stopped = true
 			return result, false
 		}
 		result.PerIteration = append(result.PerIteration, stats)
 		result.TotalSuccesses += stats.Successes
-		if eng.opt.OnIteration != nil {
-			eng.opt.OnIteration(it, stats)
-		}
-		if stopWhenMixed && stats.EverSwapped >= 1.0 {
-			return result, true
-		}
-		if st != nil && st.Observe(it, stats) {
+		if st.Observe(it, stats) {
 			return result, true
 		}
 	}
@@ -857,41 +734,24 @@ func runLoop(eng *Engine, iterations int, stopWhenMixed bool, st Stopper) (Resul
 func Run(el *graph.EdgeList, opt Options) Result {
 	eng := NewEngine(el, opt)
 	defer eng.Close()
-	result, _ := runLoop(eng, opt.Iterations, false, nil)
+	result, _ := Drive(eng, Budget(opt.Iterations))
 	return result
 }
 
-// RunUntilMixed swaps until every edge has been part of a successful
-// swap at least once (the paper's empirical mixing signal), or until
-// maxIterations. Tracking is forced on. It returns the statistics and
-// whether full mixing was reached.
-func RunUntilMixed(el *graph.EdgeList, opt Options, maxIterations int) (Result, bool) {
-	opt.TrackSwapped = true
-	eng := NewEngine(el, opt)
-	defer eng.Close()
-	return runLoop(eng, maxIterations, true, nil)
-}
-
-// RunEngine performs eng.opt.Iterations iterations on an existing
-// (possibly Reset) engine, reusing all of its buffers.
-func RunEngine(eng *Engine) Result {
-	result, _ := runLoop(eng, eng.opt.Iterations, false, nil)
-	return result
-}
-
-// RunEngineUntilMixed is RunUntilMixed on an existing engine, which
-// must have been constructed with TrackSwapped set.
-func RunEngineUntilMixed(eng *Engine, maxIterations int) (Result, bool) {
-	if eng.swapped == nil && len(eng.el.Edges) > 0 {
-		panic("swap: RunEngineUntilMixed requires TrackSwapped")
+// FixedStopReport is the RunReport stop section of a run under Budget
+// (untilMixed false) or UntilMixed; an adaptive monitor reports its own
+// outcome instead.
+func FixedStopReport(untilMixed, mixed bool, res Result) *obs.StopReport {
+	reason := "scans"
+	if untilMixed {
+		reason = "budget"
+		if mixed {
+			reason = "mixed"
+		}
 	}
-	return runLoop(eng, maxIterations, true, nil)
-}
-
-// RunEngineStopper drives eng until the stopper fires or maxIterations
-// complete, whichever is first. It returns the statistics and whether
-// the stopper ended the run (false means the budget ran out or the
-// cooperative stop flag canceled the run).
-func RunEngineStopper(eng *Engine, maxIterations int, st Stopper) (Result, bool) {
-	return runLoop(eng, maxIterations, false, st)
+	return &obs.StopReport{
+		Policy:     "fixed",
+		Reason:     reason,
+		Iterations: len(res.PerIteration),
+	}
 }

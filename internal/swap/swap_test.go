@@ -197,7 +197,9 @@ func TestTrackSwappedMonotone(t *testing.T) {
 
 func TestRunUntilMixed(t *testing.T) {
 	el := ring(256)
-	res, mixed := RunUntilMixed(el, Options{Workers: 2, Seed: 33}, 200)
+	eng := NewEngine(el, Options{Workers: 2, Seed: 33, TrackSwapped: true})
+	defer eng.Close()
+	res, mixed := Drive(eng, UntilMixed(200))
 	if !mixed {
 		t.Fatalf("256-ring did not fully mix in 200 iterations (%d run)", len(res.PerIteration))
 	}
@@ -216,7 +218,9 @@ func TestRunUntilMixedBudgetExhausted(t *testing.T) {
 	// A wedge can never swap, so mixing is impossible; the budgeted
 	// loop must terminate and report mixed=false.
 	el := graph.NewEdgeList([]graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}}, 3)
-	res, mixed := RunUntilMixed(el, Options{Workers: 1, Seed: 1}, 5)
+	eng := NewEngine(el, Options{Workers: 1, Seed: 1, TrackSwapped: true})
+	defer eng.Close()
+	res, mixed := Drive(eng, UntilMixed(5))
 	if mixed {
 		t.Error("impossible mixing reported as achieved")
 	}
