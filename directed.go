@@ -85,8 +85,9 @@ func GenerateDirected(dist *JointDistribution, opt Options) (*DirectedResult, er
 }
 
 // GenerateDirectedContext is GenerateDirected honoring ctx:
-// cancellation is cooperative (between phases and swap iterations),
-// the partial digraph is abandoned, and ctx.Err() is returned. A ctx
+// cancellation is cooperative (between phases, and once per block of
+// every swap phase), the partial digraph is abandoned, and ctx.Err()
+// is returned. A ctx
 // already canceled on entry returns before any work.
 func GenerateDirectedContext(ctx context.Context, dist *JointDistribution, opt Options) (*DirectedResult, error) {
 	if err := ctxEntryErr(ctx); err != nil {

@@ -1,8 +1,8 @@
 // Package core wires the paper's Algorithm IV.1 end to end: probability
 // generation (Section IV-A) → parallel edge-skipping (Section IV-B) →
-// parallel double-edge swaps (Section III-A). It also exposes the
-// edge-list entry point (Problem 1: mix an existing graph) and records
-// per-phase wall times, which the Figure 6 experiment reports.
+// parallel double-edge swaps (Section III-A). Its Engine session also
+// runs the edge-list entry point (Problem 1: mix an existing graph) and
+// records per-phase wall times, which the Figure 6 experiment reports.
 package core
 
 import (
@@ -12,11 +12,8 @@ import (
 
 	"nullgraph/internal/connected"
 	"nullgraph/internal/converge"
-	"nullgraph/internal/degseq"
 	"nullgraph/internal/graph"
-	"nullgraph/internal/hashtable"
 	"nullgraph/internal/obs"
-	"nullgraph/internal/par"
 	"nullgraph/internal/probgen"
 	"nullgraph/internal/simplify"
 	"nullgraph/internal/swap"
@@ -63,8 +60,8 @@ type Options struct {
 	// Zero disables mixing (the output is then biased).
 	SwapIterations int
 	// MixUntilSwapped, when true, ignores SwapIterations and runs until
-	// every edge has been in a successful swap (bounded by
-	// MaxSwapIterations), the paper's empirical mixing signal.
+	// every edge has been in a successful swap (for at most swap.MixCap
+	// iterations), the paper's empirical mixing signal.
 	MixUntilSwapped bool
 	// StopPolicy, when non-nil, replaces the fixed swap budget with the
 	// adaptive convergence monitor of internal/converge: the chain runs
@@ -76,10 +73,6 @@ type Options struct {
 	// StopPolicy.MinEverSwapped may gate on it). A nil StopPolicy keeps
 	// the fixed-scan path bit-identical to previous releases.
 	StopPolicy *converge.Policy
-	// MaxSwapIterations bounds MixUntilSwapped; <= 0 means 128.
-	MaxSwapIterations int
-	// Probing selects the hash-table probing strategy for swaps.
-	Probing hashtable.Probing
 	// TrackSwapStats retains per-iteration swap statistics in the
 	// result (forced on by MixUntilSwapped).
 	TrackSwapStats bool
@@ -94,19 +87,6 @@ type Options struct {
 	// times — into an obs.RunReport. nil (the default) leaves every hot
 	// path untouched.
 	Recorder *obs.Recorder
-	// Stop, when non-nil, is the cooperative cancellation flag the
-	// one-shot entry points thread through every phase; a tripped flag
-	// makes them return par.ErrStopped. The public API derives it from
-	// a context.Context. nil (the default) leaves every hot path
-	// untouched.
-	Stop *par.Stop
-}
-
-func (o Options) maxSwapIterations() int {
-	if o.MaxSwapIterations <= 0 {
-		return 128
-	}
-	return o.MaxSwapIterations
 }
 
 // PhaseTimes records the wall time of each pipeline phase (Figure 6).
@@ -147,17 +127,6 @@ type Result struct {
 	// checkpoint trail) when Options.StopPolicy is set. The same record
 	// lands in the RunReport's stop section when a Recorder is attached.
 	Stop *obs.StopReport
-}
-
-// FromDistribution generates a uniformly random simple graph matching
-// dist in expectation (Problem 2, Algorithm IV.1). It is a one-shot
-// wrapper over a single-use Engine, so its output is bit-identical
-// (Workers=1) to Engine.GenerateSample(dist, 0, ...) by construction;
-// batch callers should hold an Engine to amortize the setup.
-func FromDistribution(dist *degseq.Distribution, opt Options) (*Result, error) {
-	eng := NewEngine(opt)
-	defer eng.Close()
-	return eng.GenerateSample(dist, 0, opt.Stop)
 }
 
 // recordPhases folds the phase wall times into the run report.
@@ -251,17 +220,6 @@ func validateEdgeList(el *graph.EdgeList) error {
 	return nil
 }
 
-// FromEdgeList mixes an existing edge list in place (Problem 1). The
-// input may be non-simple; swapping progressively simplifies it. The
-// list must be non-nil with in-range endpoints; empty and single-edge
-// inputs are valid no-ops. Like FromDistribution it is a one-shot
-// wrapper over a single-use Engine.
-func FromEdgeList(el *graph.EdgeList, opt Options) (*Result, error) {
-	eng := NewEngine(opt)
-	defer eng.Close()
-	return eng.ShuffleSample(el, 0, opt.Stop)
-}
-
 // swapOptions derives the session's swap configuration.
 func (o Options) swapOptions() swap.Options {
 	return swap.Options{
@@ -270,7 +228,6 @@ func (o Options) swapOptions() swap.Options {
 		Iterations:   o.SwapIterations,
 		Workers:      o.Workers,
 		Seed:         o.Seed + 0x5eed,
-		Probing:      o.Probing,
 		TrackSwapped: o.TrackSwapStats || o.MixUntilSwapped || o.StopPolicy != nil,
 		Recorder:     o.Recorder,
 	}

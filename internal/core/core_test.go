@@ -7,6 +7,7 @@ import (
 	"nullgraph/internal/degseq"
 	"nullgraph/internal/graph"
 	"nullgraph/internal/metrics"
+	"nullgraph/internal/swap"
 )
 
 func mustDist(t testing.TB, counts map[int64]int64) *degseq.Distribution {
@@ -28,9 +29,24 @@ func powerlaw(t testing.TB, n int64, dmax int64, gamma float64, seed uint64) *de
 	return d
 }
 
+// generate draws sample 0 of opt's batch on a single-use Engine.
+func generate(d *degseq.Distribution, opt Options) (*Result, error) {
+	eng := NewEngine(opt)
+	defer eng.Close()
+	return eng.GenerateSample(d, 0, nil)
+}
+
+// shuffle mixes el in place as sample 0 of opt's batch on a single-use
+// Engine.
+func shuffle(el *graph.EdgeList, opt Options) (*Result, error) {
+	eng := NewEngine(opt)
+	defer eng.Close()
+	return eng.ShuffleSample(el, 0, nil)
+}
+
 func TestFromDistributionEndToEnd(t *testing.T) {
 	d := powerlaw(t, 5000, 300, 2.2, 3)
-	res, err := FromDistribution(d, Options{Workers: 4, Seed: 7, SwapIterations: 8})
+	res, err := generate(d, Options{Workers: 4, Seed: 7, SwapIterations: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +74,7 @@ func TestFromDistributionEndToEnd(t *testing.T) {
 
 func TestFromDistributionDegreesTrackTarget(t *testing.T) {
 	d := mustDist(t, map[int64]int64{2: 3000, 8: 300, 30: 10})
-	res, err := FromDistribution(d, Options{Workers: 4, Seed: 11, SwapIterations: 5})
+	res, err := generate(d, Options{Workers: 4, Seed: 11, SwapIterations: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +97,7 @@ func TestFromDistributionDegreesTrackTarget(t *testing.T) {
 
 func TestFromDistributionMixUntilSwapped(t *testing.T) {
 	d := mustDist(t, map[int64]int64{2: 2000, 6: 100})
-	res, err := FromDistribution(d, Options{Workers: 4, Seed: 5, MixUntilSwapped: true})
+	res, err := generate(d, Options{Workers: 4, Seed: 5, MixUntilSwapped: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +110,7 @@ func TestFromDistributionMixUntilSwapped(t *testing.T) {
 	}
 
 	// A reused session mixes every sample of a batch.
-	eng := NewEngine(Options{Workers: 2, Seed: 9, MixUntilSwapped: true, MaxSwapIterations: 200})
+	eng := NewEngine(Options{Workers: 2, Seed: 9, MixUntilSwapped: true})
 	defer eng.Close()
 	for sample := uint64(0); sample < 2; sample++ {
 		res, err := eng.ShuffleSample(ringEdges(256), sample, nil)
@@ -102,21 +118,21 @@ func TestFromDistributionMixUntilSwapped(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !res.Mixed || res.Stop.Reason != "mixed" {
-			t.Fatalf("sample %d: 256-ring did not mix in 200 iterations (stop %+v)", sample, res.Stop)
+			t.Fatalf("sample %d: 256-ring did not mix in %d iterations (stop %+v)", sample, swap.MixCap, res.Stop)
 		}
 	}
 }
 
 func TestFromDistributionRejectsInvalid(t *testing.T) {
 	bad := &degseq.Distribution{Classes: []degseq.Class{{Degree: 2, Count: 0}}}
-	if _, err := FromDistribution(bad, Options{}); err == nil {
+	if _, err := generate(bad, Options{}); err == nil {
 		t.Error("invalid distribution accepted")
 	}
 }
 
 func TestFromDistributionZeroSwaps(t *testing.T) {
 	d := mustDist(t, map[int64]int64{2: 500})
-	res, err := FromDistribution(d, Options{Workers: 2, Seed: 1, SwapIterations: 0})
+	res, err := generate(d, Options{Workers: 2, Seed: 1, SwapIterations: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,12 +153,12 @@ func TestFromEdgeList(t *testing.T) {
 	}
 	el := graph.NewEdgeList(edges, n)
 	orig := el.Clone()
-	res, err := FromEdgeList(el, Options{Workers: 4, Seed: 13, SwapIterations: 6})
+	res, err := shuffle(el, Options{Workers: 4, Seed: 13, SwapIterations: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Graph != el {
-		t.Error("FromEdgeList must mutate in place")
+		t.Error("ShuffleSample must mutate in place")
 	}
 	if el.EqualAsSets(orig) {
 		t.Error("graph unchanged after 6 iterations")
@@ -162,17 +178,17 @@ func TestFromEdgeList(t *testing.T) {
 func TestFromEdgeListValidation(t *testing.T) {
 	opt := Options{Workers: 1, Seed: 1, SwapIterations: 3}
 
-	if _, err := FromEdgeList(nil, opt); err == nil {
+	if _, err := shuffle(nil, opt); err == nil {
 		t.Error("nil edge list accepted")
 	}
 	bad := graph.NewEdgeList([]graph.Edge{{U: 0, V: 1}}, 2)
 	bad.Edges[0].V = 7 // corrupt after construction, as a caller could
-	if _, err := FromEdgeList(bad, opt); err == nil {
+	if _, err := shuffle(bad, opt); err == nil {
 		t.Error("out-of-range endpoint accepted")
 	}
 	neg := graph.NewEdgeList([]graph.Edge{{U: 0, V: 1}}, 2)
 	neg.Edges[0].U = -1
-	if _, err := FromEdgeList(neg, opt); err == nil {
+	if _, err := shuffle(neg, opt); err == nil {
 		t.Error("negative endpoint accepted")
 	}
 
@@ -180,7 +196,7 @@ func TestFromEdgeListValidation(t *testing.T) {
 		"empty":       graph.NewEdgeList(nil, 4),
 		"single-edge": graph.NewEdgeList([]graph.Edge{{U: 0, V: 1}}, 2),
 	} {
-		res, err := FromEdgeList(el, opt)
+		res, err := shuffle(el, opt)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -195,11 +211,11 @@ func TestFromDistributionDeterministic(t *testing.T) {
 	// Bit-exact only with a single worker (parallel swap proposals race
 	// benignly; see swap.Options.Seed).
 	d := mustDist(t, map[int64]int64{3: 800, 9: 40})
-	a, err := FromDistribution(d, Options{Workers: 1, Seed: 21, SwapIterations: 4})
+	a, err := generate(d, Options{Workers: 1, Seed: 21, SwapIterations: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FromDistribution(d, Options{Workers: 1, Seed: 21, SwapIterations: 4})
+	b, err := generate(d, Options{Workers: 1, Seed: 21, SwapIterations: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,11 +229,11 @@ func TestFromDistributionDeterministic(t *testing.T) {
 	}
 	// Parallel runs still draw identical *pre-swap* graphs: edge
 	// generation is scheduling-independent.
-	pa, err := FromDistribution(d, Options{Workers: 4, Seed: 21, SwapIterations: 0})
+	pa, err := generate(d, Options{Workers: 4, Seed: 21, SwapIterations: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := FromDistribution(d, Options{Workers: 4, Seed: 21, SwapIterations: 0})
+	pb, err := generate(d, Options{Workers: 4, Seed: 21, SwapIterations: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

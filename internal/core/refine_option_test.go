@@ -17,11 +17,11 @@ func TestRefinePassesOptionImprovesResiduals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := FromDistribution(d, Options{Workers: 2, Seed: 1, SwapIterations: 0})
+	plain, err := generate(d, Options{Workers: 2, Seed: 1, SwapIterations: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	refined, err := FromDistribution(d, Options{Workers: 2, Seed: 1, SwapIterations: 0, RefinePasses: 12})
+	refined, err := generate(d, Options{Workers: 2, Seed: 1, SwapIterations: 0, RefinePasses: 12})
 	if err != nil {
 		t.Fatal(err)
 	}

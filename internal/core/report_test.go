@@ -21,7 +21,7 @@ func collectReport(t *testing.T) *obs.RunReport {
 	t.Helper()
 	d := mustDist(t, map[int64]int64{2: 400, 5: 40, 9: 10})
 	rec := obs.NewRecorder()
-	_, err := FromDistribution(d, Options{
+	_, err := generate(d, Options{
 		Workers:        1,
 		Seed:           42,
 		SwapIterations: 3,
@@ -79,7 +79,7 @@ func TestRunReportGolden(t *testing.T) {
 func TestRunReportGoldenAdaptive(t *testing.T) {
 	d := mustDist(t, map[int64]int64{2: 400, 5: 40, 9: 10})
 	rec := obs.NewRecorder()
-	_, err := FromDistribution(d, Options{
+	_, err := generate(d, Options{
 		Workers:  1,
 		Seed:     42,
 		Recorder: rec,

@@ -40,9 +40,8 @@ func SampleSeed(seed, sample uint64) uint64 {
 // GenerateSample/ShuffleSample calls reach a steady state with
 // near-zero allocations.
 //
-// Each sample s runs the pipeline under SampleSeed(opt.Seed, s):
-// sample 0 is bit-identical (Workers=1) to the one-shot entry points,
-// which are themselves thin wrappers over a single-use Engine.
+// Each sample s runs the pipeline under SampleSeed(opt.Seed, s), so
+// sample 0 runs under opt.Seed itself.
 //
 // The Result of GenerateSample aliases engine-owned buffers (the edge
 // list, the probability matrix); it is valid until the next call on the
@@ -180,7 +179,7 @@ func (e *Engine) runSwaps(el *graph.EdgeList, seed uint64, stop *par.Stop) (swap
 		return res, false, &out
 	}
 	if e.opt.MixUntilSwapped {
-		res, mixed := swap.Drive(e.mix, swap.UntilMixed(e.opt.maxSwapIterations()))
+		res, mixed := swap.Drive(e.mix, swap.MixCap)
 		return res, mixed, swap.FixedStopReport(true, mixed, res)
 	}
 	res, _ := swap.Drive(e.mix, swap.Budget(e.opt.SwapIterations))
@@ -283,7 +282,9 @@ func (e *Engine) GenerateSample(dist *degseq.Distribution, sample uint64, stop *
 }
 
 // ShuffleSample mixes an existing edge list in place (Problem 1) as
-// the sample-th member of the batch, with FromEdgeList's validation.
+// the sample-th member of the batch. The input may be non-simple (see
+// Options.Space); it must be non-nil with in-range endpoints, and
+// empty and single-edge lists are valid no-ops.
 //
 // When stop trips mid-run, ShuffleSample returns par.ErrStopped and el
 // is left valid but under-mixed: its degree sequence and edge count

@@ -53,7 +53,7 @@ func TestEngineReuseBitIdentical(t *testing.T) {
 		// with SampleSeed(base, s) reproduces batch sample s exactly.
 		oneOpt := opt
 		oneOpt.Seed = SampleSeed(opt.Seed, sample)
-		one, err := FromDistribution(dist, oneOpt)
+		one, err := generate(dist, oneOpt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestEngineReuseBitIdentical(t *testing.T) {
 
 	// The Shuffle path of the same session: inputs that grow past and
 	// shrink below the buffers sized by earlier samples still give the
-	// one-shot FromEdgeList result seeded with SampleSeed(base, s).
+	// one-shot result seeded with SampleSeed(base, s).
 	for sample, n := range []int{500, 5000, 100} {
 		got := ringEdges(n)
 		if _, err := reused.ShuffleSample(got, uint64(sample), nil); err != nil {
@@ -75,7 +75,7 @@ func TestEngineReuseBitIdentical(t *testing.T) {
 		want := ringEdges(n)
 		oneOpt := opt
 		oneOpt.Seed = SampleSeed(opt.Seed, uint64(sample))
-		if _, err := FromEdgeList(want, oneOpt); err != nil {
+		if _, err := shuffle(want, oneOpt); err != nil {
 			t.Fatal(err)
 		}
 		for i := range want.Edges {

@@ -6,14 +6,14 @@
 //     arcs in the simple digraph space);
 //   - JointDistribution — the {(out, in), count} analog of {D, N};
 //   - Kleitman-Wang realization of a joint degree sequence;
-//   - parallel double-arc swaps preserving every vertex's in- AND
-//     out-degree;
 //   - directed Chung-Lu baselines and the directed version of the
-//     probability heuristic + edge-skipping pipeline.
+//     probability heuristic + edge-skipping pipeline, mixed by the
+//     swap package's directed engine (swap.NewDirectedEngine), which
+//     preserves every vertex's in- AND out-degree.
 //
 // The "certain considerations": swap proposals have a single legal
 // pairing ((u→v),(x→y) ⇒ (u→y),(x→v) — the other exchange would move
-// degree between in and out sides), the hash-table key is the ordered
+// degree between in and out sides), arcs are keyed by their ordered
 // pair, and the diagonal class spaces exclude exactly the self-pairs.
 package directed
 

@@ -2,9 +2,9 @@ package directed
 
 import (
 	"fmt"
-	"time"
 
 	"nullgraph/internal/converge"
+	"nullgraph/internal/graph"
 	"nullgraph/internal/obs"
 	"nullgraph/internal/par"
 	"nullgraph/internal/rng"
@@ -13,11 +13,13 @@ import (
 
 // Options configures the directed end-to-end pipeline.
 type Options struct {
-	Workers           int
-	Seed              uint64
-	SwapIterations    int
-	MixUntilSwapped   bool
-	MaxSwapIterations int
+	Workers        int
+	Seed           uint64
+	SwapIterations int
+	// MixUntilSwapped, when true, ignores SwapIterations and swaps until
+	// every arc has been in a successful swap, for at most swap.MixCap
+	// iterations.
+	MixUntilSwapped bool
 	// StopPolicy, when non-nil, replaces the fixed swap budget with the
 	// adaptive convergence monitor. The directed chain has no wired
 	// graph-statistic evaluator, so the monitored trace is always the
@@ -27,38 +29,17 @@ type Options struct {
 	// SwapIterations; the outcome lands in Result.Stop.
 	StopPolicy *converge.Policy
 	// Stop, when non-nil, cancels cooperatively: between pipeline phases
-	// and between swap iterations. A tripped flag makes Generate and
-	// Shuffle return par.ErrStopped; Shuffle's arc list stays valid
-	// (joint degrees preserved) but under-mixed.
+	// and once per block of every swap phase. A tripped flag makes
+	// Generate and Shuffle return par.ErrStopped; Shuffle's arc list
+	// stays valid (joint degrees preserved) but under-mixed.
 	Stop *par.Stop
-}
-
-func (o Options) maxSwapIterations() int {
-	if o.MaxSwapIterations <= 0 {
-		return 128
-	}
-	return o.MaxSwapIterations
-}
-
-// PhaseTimes records the directed pipeline's per-phase wall time.
-type PhaseTimes struct {
-	Probabilities time.Duration
-	ArcGeneration time.Duration
-	Swapping      time.Duration
-}
-
-// Total returns the end-to-end time.
-func (p PhaseTimes) Total() time.Duration {
-	return p.Probabilities + p.ArcGeneration + p.Swapping
 }
 
 // Result is the directed pipeline output.
 type Result struct {
-	Graph         *ArcList
-	Probabilities *ProbMatrix
-	Phases        PhaseTimes
-	Swaps         swap.Result
-	Mixed         bool
+	Graph *ArcList
+	Swaps swap.Result
+	Mixed bool
 	// Stop records how the swap phase ended — fixed-budget reason or
 	// the adaptive monitor's outcome with its checkpoint trail.
 	Stop *obs.StopReport
@@ -78,37 +59,34 @@ func Generate(d *JointDistribution, opt Options) (*Result, error) {
 	if opt.Stop.Stopped() {
 		return nil, par.ErrStopped
 	}
-	res := &Result{}
-	start := time.Now()
-	res.Probabilities = GenerateProbabilities(d, opt.Workers)
-	res.Phases.Probabilities = time.Since(start)
+	prob := GenerateProbabilities(d, opt.Workers)
 	if opt.Stop.Stopped() {
 		return nil, par.ErrStopped
 	}
-
-	start = time.Now()
-	al, err := GenerateArcs(d, res.Probabilities, SkipOptions{Workers: opt.Workers, Seed: opt.Seed})
+	al, err := GenerateArcs(d, prob, SkipOptions{Workers: opt.Workers, Seed: opt.Seed})
 	if err != nil {
 		return nil, err
 	}
-	res.Phases.ArcGeneration = time.Since(start)
-	res.Graph = al
 	if opt.Stop.Stopped() {
 		return nil, par.ErrStopped
 	}
-
-	start = time.Now()
+	res := &Result{Graph: al}
 	if stopped := res.runSwaps(al, opt); stopped {
 		return nil, par.ErrStopped
 	}
-	res.Phases.Swapping = time.Since(start)
 	return res, nil
 }
 
-// runSwaps drives the mixing phase shared by Generate and Shuffle,
-// reporting whether the stop flag interrupted it.
+// runSwaps drives the mixing phase shared by Generate and Shuffle on
+// the swap package's directed engine, reporting whether the stop flag
+// interrupted it. The arcs cross into the engine's out/in cover once
+// and come back once, also after a stop.
 func (res *Result) runSwaps(al *ArcList, opt Options) bool {
-	sopt := SwapOptions{Workers: opt.Workers, Seed: rng.Mix64(opt.Seed) + 0xd15eed, Stop: opt.Stop}
+	cover := &graph.EdgeList{Edges: make([]graph.Edge, len(al.Arcs)), NumVertices: al.NumVertices}
+	for i, a := range al.Arcs {
+		cover.Edges[i] = swap.ArcEdge(a.From, a.To)
+	}
+	sopt := swap.Options{Workers: opt.Workers, Seed: rng.Mix64(opt.Seed) + 0xd15eed, Stop: opt.Stop}
 	var st swap.Stopper = swap.Budget(opt.SwapIterations)
 	var mon *converge.Monitor
 	switch {
@@ -120,10 +98,15 @@ func (res *Result) runSwaps(al *ArcList, opt Options) bool {
 		st = mon.Stopper()
 	case opt.MixUntilSwapped:
 		sopt.TrackSwapped = true
-		st = swap.UntilMixed(opt.maxSwapIterations())
+		st = swap.MixCap
 	}
+	eng := swap.NewDirectedEngine(cover, sopt)
 	var early bool
-	res.Swaps, early = swap.Drive(NewSwapEngine(al, sopt), st)
+	res.Swaps, early = swap.Drive(eng, st)
+	eng.Close()
+	for i, e := range cover.Edges {
+		al.Arcs[i].From, al.Arcs[i].To = swap.EdgeArc(e)
+	}
 	if mon != nil {
 		out := mon.Outcome()
 		res.Stop = &out
@@ -161,10 +144,8 @@ func Shuffle(al *ArcList, opt Options) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{Graph: al}
-	start := time.Now()
 	if stopped := res.runSwaps(al, opt); stopped {
 		return nil, par.ErrStopped
 	}
-	res.Phases.Swapping = time.Since(start)
 	return res, nil
 }

@@ -6,6 +6,17 @@ import (
 	"testing"
 )
 
+// shuffle mixes al in place through the pipeline's Shuffle entry point,
+// failing the test on error.
+func shuffle(t testing.TB, al *ArcList, opt Options) *Result {
+	t.Helper()
+	res, err := Shuffle(al, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func arcSignature(al *ArcList) string {
 	keys := make([]uint64, len(al.Arcs))
 	for i, a := range al.Arcs {
@@ -31,7 +42,7 @@ func TestSwapArcsSimplicityAcrossSeedsAndWorkers(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		for seed := uint64(0); seed < 8; seed++ {
 			al := start.Clone()
-			SwapArcs(al, SwapOptions{Iterations: 12, Workers: workers, Seed: seed})
+			shuffle(t, al, Options{SwapIterations: 12, Workers: workers, Seed: seed})
 			if rep := al.CheckSimplicity(); !rep.IsSimple() {
 				t.Fatalf("workers=%d seed=%d: not simple: %+v", workers, seed, rep)
 			}
@@ -62,7 +73,7 @@ func TestSwapArcsErgodicOnDerangements(t *testing.T) {
 	seen := map[string]bool{}
 	for seed := uint64(0); seed < 40; seed++ {
 		al := start.Clone()
-		SwapArcs(al, SwapOptions{Iterations: 30, Workers: 1, Seed: seed})
+		shuffle(t, al, Options{SwapIterations: 30, Workers: 1, Seed: seed})
 		if rep := al.CheckSimplicity(); !rep.IsSimple() {
 			t.Fatalf("seed %d: not simple: %+v", seed, rep)
 		}
@@ -85,7 +96,7 @@ func TestSwapArcsLazyCoinStreamsIndependent(t *testing.T) {
 	states := map[string]int{}
 	for seed := uint64(100); seed < 110; seed++ {
 		al := start.Clone()
-		SwapArcs(al, SwapOptions{Iterations: 10, Workers: 1, Seed: seed})
+		shuffle(t, al, Options{SwapIterations: 10, Workers: 1, Seed: seed})
 		states[arcSignature(al)]++
 	}
 	if len(states) < 2 {

@@ -128,7 +128,9 @@ func generate(m Method, dist *degseq.Distribution, workers int, seed uint64) (*g
 	case MethodBernoulli:
 		return chunglu.GenerateBernoulli(dist, opt)
 	case MethodOurs:
-		res, err := core.FromDistribution(dist, core.Options{Workers: workers, Seed: seed, SwapIterations: 0})
+		eng := core.NewEngine(core.Options{Workers: workers, Seed: seed})
+		defer eng.Close()
+		res, err := eng.GenerateSample(dist, 0, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -180,14 +182,15 @@ func CollectRunReport(cfg Config) (*obs.RunReport, error) {
 		return nil, err
 	}
 	rec := obs.NewRecorder()
-	_, err = core.FromDistribution(dist, core.Options{
+	eng := core.NewEngine(core.Options{
 		Workers:        cfg.Workers,
 		Seed:           cfg.Seed,
 		SwapIterations: cfg.swapIterations(),
 		TrackSwapStats: true,
 		Recorder:       rec,
 	})
-	if err != nil {
+	defer eng.Close()
+	if _, err := eng.GenerateSample(dist, 0, nil); err != nil {
 		return nil, err
 	}
 	return rec.Report(), nil

@@ -40,11 +40,15 @@ func RunFig6(cfg Config) (*Fig6Result, error) {
 		}
 		best := Fig6Row{Dataset: spec.Name, Phases: core.PhaseTimes{Probabilities: time.Hour}}
 		for t := 0; t < cfg.trials(); t++ {
-			out, err := core.FromDistribution(dist, core.Options{
+			// A fresh engine per trial: the probability phase is timed
+			// cold, as the paper measures it.
+			eng := core.NewEngine(core.Options{
 				Workers:        cfg.Workers,
 				Seed:           rng.Mix64(cfg.Seed) + uint64(t)*101,
 				SwapIterations: 1,
 			})
+			out, err := eng.GenerateSample(dist, 0, nil)
+			eng.Close()
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", spec.Name, err)
 			}

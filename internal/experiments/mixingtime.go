@@ -125,9 +125,12 @@ func compareStopPolicies(cfg Config, name string, dist *degseq.Distribution, fix
 	for t := 0; t < cfg.trials(); t++ {
 		seed := rng.Mix64(cfg.Seed^0x5ad) + uint64(t)
 
-		fixed, err := core.FromDistribution(dist, core.Options{
+		// Each run gets a fresh engine, so both phases are timed cold.
+		fixedEng := core.NewEngine(core.Options{
 			Workers: cfg.Workers, Seed: seed, SwapIterations: fixedBudget,
 		})
+		fixed, err := fixedEng.GenerateSample(dist, 0, nil)
+		fixedEng.Close()
 		if err != nil {
 			return row, fmt.Errorf("fixed stop on %s: %w", name, err)
 		}
@@ -141,10 +144,12 @@ func compareStopPolicies(cfg Config, name string, dist *degseq.Distribution, fix
 		// needs until iteration ~21, pushing the earliest stop past a
 		// 16-scan fixed budget. Checkpoints are O(m) like iterations,
 		// so density costs a constant factor, not a complexity class.
-		adapt, err := core.FromDistribution(dist, core.Options{
+		adaptEng := core.NewEngine(core.Options{
 			Workers: cfg.Workers, Seed: seed,
 			StopPolicy: &converge.Policy{Budget: adaptiveBudget, Growth: 1.1},
 		})
+		adapt, err := adaptEng.GenerateSample(dist, 0, nil)
+		adaptEng.Close()
 		if err != nil {
 			return row, fmt.Errorf("adaptive stop on %s: %w", name, err)
 		}

@@ -162,13 +162,13 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestGenerateLayeredLambdaValidation(t *testing.T) {
 	deg := []int64{2, 2, 2, 2}
 	groups := [][]int32{{0, 1, 2, 3}}
-	if _, err := GenerateLayered(deg, []Layer{{Groups: groups, Lambda: 0.5}}, core.Options{}); err == nil {
+	if _, err := GenerateLayered(deg, []Layer{{Groups: groups, Lambda: 0.5}}, core.Options{}, nil); err == nil {
 		t.Error("lambda sum != 1 accepted")
 	}
-	if _, err := GenerateLayered(deg, []Layer{{Groups: groups, Lambda: -0.2}, {Groups: groups, Lambda: 1.2}}, core.Options{}); err == nil {
+	if _, err := GenerateLayered(deg, []Layer{{Groups: groups, Lambda: -0.2}, {Groups: groups, Lambda: 1.2}}, core.Options{}, nil); err == nil {
 		t.Error("out-of-range lambda accepted")
 	}
-	if _, err := GenerateLayered(nil, []Layer{{Groups: groups, Lambda: 1}}, core.Options{}); err == nil {
+	if _, err := GenerateLayered(nil, []Layer{{Groups: groups, Lambda: 1}}, core.Options{}, nil); err == nil {
 		t.Error("empty degrees accepted")
 	}
 }
@@ -181,7 +181,7 @@ func TestGenerateLayeredSingleLayerIsPlainGeneration(t *testing.T) {
 	res, err := GenerateLayered(deg, []Layer{{
 		Groups: [][]int32{allVertices(500)},
 		Lambda: 1,
-	}}, core.Options{Workers: 2, Seed: 9, SwapIterations: 2})
+	}}, core.Options{Workers: 2, Seed: 9, SwapIterations: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestGenerateLayeredThreeLevels(t *testing.T) {
 		{Groups: leaf, Lambda: 0.5},
 		{Groups: mid, Lambda: 0.3},
 		{Groups: [][]int32{allVertices(n)}, Lambda: 0.2},
-	}, core.Options{Workers: 4, Seed: 17, SwapIterations: 2})
+	}, core.Options{Workers: 4, Seed: 17, SwapIterations: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestSplitDegreesExact(t *testing.T) {
 
 func TestGenerateGroupTooSmall(t *testing.T) {
 	// Groups of size < 2 produce nothing and drop their stubs.
-	edges, dropped, err := generateGroup([]int32{5}, []int64{0, 0, 0, 0, 0, 3}, core.Options{}, 0)
+	edges, dropped, err := generateGroup([]int32{5}, []int64{0, 0, 0, 0, 0, 3}, core.Options{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

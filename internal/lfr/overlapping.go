@@ -76,7 +76,7 @@ func GenerateOverlapping(degrees []int64, memberships [][]int32, mu float64, opt
 	res := &Result{Degrees: degrees, Communities: memberships}
 	var edges []graph.Edge
 	for ci, members := range memberships {
-		groupEdges, dropped, err := generateGroup(members, communitySplit[ci], opt, uint64(ci)+0xabcdef)
+		groupEdges, dropped, err := generateGroup(members, communitySplit[ci], opt, uint64(ci)+0xabcdef, nil)
 		if err != nil {
 			return nil, fmt.Errorf("lfr: overlapping community %d: %w", ci, err)
 		}
@@ -84,7 +84,7 @@ func GenerateOverlapping(degrees []int64, memberships [][]int32, mu float64, opt
 		edges = append(edges, groupEdges...)
 	}
 	all := allVertices(int64(n))
-	extEdges, dropped, err := generateGroup(all, external, opt, 0x9e3779b9)
+	extEdges, dropped, err := generateGroup(all, external, opt, 0x9e3779b9, nil)
 	if err != nil {
 		return nil, fmt.Errorf("lfr: external layer: %w", err)
 	}

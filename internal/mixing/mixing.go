@@ -55,7 +55,7 @@ func (s Statistic) evaluate(el *graph.EdgeList, workers int) float64 {
 type Options struct {
 	// Iterations is the chain length to record.
 	Iterations int
-	// Workers / Seed / Probing are passed to the swap engine.
+	// Workers and Seed are passed to the swap engine.
 	Workers int
 	Seed    uint64
 	// Statistic selects what to track.

@@ -24,7 +24,7 @@ import (
 //
 // directedChainIterations is higher because the directed pair sweep is
 // lazy (each legal exchange is proposed with probability 1/2 — see the
-// SwapEngine doc for why that coin is load-bearing): empirically, 30
+// internal/swap policy.go doc for why that coin is load-bearing): empirically, 30
 // iterations leaves measurable under-mixing on the n=4 derangement
 // space (mean p ≈ 0.37 over 30 seeds), while 60+ restores the uniform
 // p-value profile; 100 leaves margin for long nightly budgets.
@@ -472,11 +472,13 @@ func runDirectedSwapUniformity(cfg Config, name string, n int64, defaultSamples 
 	al := start.Clone()
 	return CheckUniformity(name, space, defaultSamples, cfg, func(attemptSeed uint64, i int) (string, error) {
 		copy(al.Arcs, start.Arcs)
-		directed.SwapArcs(al, directed.SwapOptions{
-			Iterations: directedChainIterations,
-			Workers:    cfg.Workers,
-			Seed:       SampleSeed(attemptSeed, i),
-		})
+		if _, err := directed.Shuffle(al, directed.Options{
+			SwapIterations: directedChainIterations,
+			Workers:        cfg.Workers,
+			Seed:           SampleSeed(attemptSeed, i),
+		}); err != nil {
+			return "", err
+		}
 		return SignatureOfArcs(al.Arcs), nil
 	})
 }

@@ -37,6 +37,23 @@
 //     exact proposal ratio. Multiplicities come from a graph.Multiset,
 //     so this path is serial and map-backed; it is intentionally NOT
 //     //nullgraph:hotpath (the parallel stub policies below are).
+//
+// The directed chain is one more parallel policy, over the out/in cover
+// of a digraph (the bipartite graph of tail-copies and head-copies in
+// which a vertex's own tail–head pair is forbidden; see Greenhill,
+// arXiv:2201.04888, on switch chains in this representation). Arc u→v
+// is the cover edge {u, ^v}: tails keep their id, heads are stored
+// complemented, so Edge.Key keys u→v and v→u apart and collides exact
+// duplicates. Of rewirePair's two pairings of two cover edges exactly
+// one joins each tail to a head — the arcs' single legal exchange — so
+// rejecting the other is a lazy ½ coin on that exchange. The lazy coin
+// is load-bearing: without it every legal exchange of a pairing would
+// commit in lockstep, and on the 4-vertex out=in=1 space the chain
+// splits into four communicating classes. Pair moves alone still do not
+// connect the simple-digraph space (the two orientations of a directed
+// 3-cycle have no pair move between them), so directed engines also run
+// reverseTriangle, the classic second move of directed switch chains
+// (Rao et al.; Erdős–Miklós–Toroczkai).
 package swap
 
 import (
@@ -56,6 +73,9 @@ const (
 	rejectSelfLoop
 	rejectDuplicate
 	rejectPartnerDuplicate
+	// rejectLazy is the directed policy's lazy coin. It is never
+	// recorded: directed engines take no recorder.
+	rejectLazy
 )
 
 // record files a rejection in the worker's recorder cell.
@@ -134,6 +154,58 @@ func acceptLoopyStub(wtr *hashtable.Writer, cell *obs.Counters, g, h graph.Edge)
 		return rejectPartnerDuplicate
 	}
 	return accepted
+}
+
+// acceptDirected is the directed rule over out/in cover edges: reject
+// the pairing that joins two tails (and so two heads), which is the
+// lazy coin; reject a tail joined to its own head, a self-loop; else
+// probe both new arcs like acceptLoopyStub.
+//
+//nullgraph:hotpath
+func acceptDirected(wtr *hashtable.Writer, cell *obs.Counters, g, h graph.Edge) verdict {
+	if g.U^g.V >= 0 {
+		return rejectLazy
+	}
+	if g.U == ^g.V || h.U == ^h.V {
+		return rejectSelfLoop
+	}
+	return acceptLoopyStub(wtr, cell, g, h)
+}
+
+// reverseTriangle reverses t's three arcs in place when, in this order,
+// they form a directed triangle u→v→w→u on three distinct vertices and
+// none of the reversed arcs is in the table; it reports whether it did.
+//
+//nullgraph:hotpath
+func reverseTriangle(wtr *hashtable.Writer, t []graph.Edge) bool {
+	au, av := EdgeArc(t[0])
+	bu, bv := EdgeArc(t[1])
+	cu, cv := EdgeArc(t[2])
+	if av != bu || bv != cu || cv != au || au == bu || bu == cu || au == cu {
+		return false
+	}
+	ra, rb, rc := ArcEdge(av, au), ArcEdge(bv, bu), ArcEdge(cv, cu)
+	if wtr.TestAndSet(ra.Key()) || wtr.TestAndSet(rb.Key()) || wtr.TestAndSet(rc.Key()) {
+		return false
+	}
+	t[0], t[1], t[2] = ra, rb, rc
+	return true
+}
+
+// ArcEdge encodes the arc from→to as its out/in cover edge {from, ^to}.
+//
+//nullgraph:hotpath
+func ArcEdge(from, to int32) graph.Edge { return graph.Edge{U: from, V: ^to} }
+
+// EdgeArc decodes a cover edge in either stored orientation (a swap
+// may leave the head first) back into its arc from→to. The tail is the
+// non-negative endpoint, so max and min pick the two apart without a
+// branch: after a few swaps the stored orientation is a coin flip, and
+// a branch on it mispredicts half the time.
+//
+//nullgraph:hotpath
+func EdgeArc(e graph.Edge) (from, to int32) {
+	return max(e.U, e.V), ^min(e.U, e.V)
 }
 
 // acceptAll is the multigraph-stub rule: every proposal is a legal

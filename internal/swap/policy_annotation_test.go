@@ -16,7 +16,7 @@ import (
 // the vertex-labeled MH sweep is serial and map-backed by design (see
 // the policy.go file doc).
 func TestAcceptancePoliciesStayAnnotated(t *testing.T) {
-	want := []string{"acceptSimple", "acceptLoopyStub", "acceptAll", "probed", "rewirePair"}
+	want := []string{"acceptSimple", "acceptLoopyStub", "acceptDirected", "reverseTriangle", "ArcEdge", "EdgeArc", "acceptAll", "probed", "rewirePair"}
 	fset := token.NewFileSet()
 	file, err := parser.ParseFile(fset, "policy.go", nil, parser.ParseComments)
 	if err != nil {

@@ -46,8 +46,12 @@
 // behind a nil check; a stop flag is polled once per fixed-size block,
 // outside the per-element loop. Drive is the one chain driver: the
 // fixed budget, the until-mixed heuristic and the adaptive convergence
-// monitor are Stoppers it consults after every iteration, and the
-// directed engine (internal/directed) runs under it too.
+// monitor are Stoppers it consults after every iteration.
+//
+// NewDirectedEngine runs the directed chain (internal/directed) on the
+// same kernel, over the digraph's out/in cover (see policy.go): its pair
+// move is one more acceptance policy, and one extra phase reverses
+// disjoint directed triangles.
 package swap
 
 import (
@@ -218,9 +222,12 @@ type Engine struct {
 	// table (multigraph-stub accepts every proposal), which skips the
 	// register and clear phases entirely. accept is the stub-cell
 	// acceptance policy the sweep body dispatches through; ms is the
-	// live multiplicity view the vertex-labeled step reads.
+	// live multiplicity view the vertex-labeled step reads. directed
+	// marks an engine over an out/in cover (NewDirectedEngine), which
+	// adds the triangle-reversal phase.
 	vertexMH bool
 	useTable bool
+	directed bool
 	accept   policy
 	ms       *graph.Multiset
 
@@ -270,6 +277,7 @@ type Engine struct {
 	registerBody func(w int, r par.Range)
 	targetsBody  func(w int, r par.Range)
 	sweepBody    func(w int, r par.Range)
+	triangleBody func(w int, r par.Range)
 	clearBody    func(w int, r par.Range)
 }
 
@@ -284,22 +292,43 @@ const (
 // NewEngine prepares a swap engine over el. The engine mutates el's
 // edge slice in place; el must not be resized while the engine is live.
 func NewEngine(el *graph.EdgeList, opt Options) *Engine {
+	return newEngine(el, opt, false)
+}
+
+// NewDirectedEngine prepares a swap engine over the out/in cover of a
+// digraph: el holds ArcEdge(u, v) for every arc u→v, and every
+// iteration keeps each vertex's out- and in-degree. Each adjacent pair
+// proposes its single legal exchange with probability 1/2 (the lazy
+// coin, acceptDirected), and a second sweep reverses disjoint directed
+// triangles. Space, Connected and Recorder must be zero: the chain
+// samples simple digraphs and reports no RunReport.
+func NewDirectedEngine(el *graph.EdgeList, opt Options) *Engine {
+	if opt.Space != graph.SimpleStub || opt.Connected || opt.Recorder != nil {
+		panic("swap: a directed engine samples simple digraphs and takes no recorder")
+	}
+	return newEngine(el, opt, true)
+}
+
+func newEngine(el *graph.EdgeList, opt Options, directed bool) *Engine {
 	p := par.Workers(opt.Workers)
 	if opt.Pool != nil {
 		// Per-worker state (writers, cells) is indexed by the dispatching
 		// pool's worker IDs, so an external pool dictates the width.
 		p = opt.Pool.Workers()
 	}
-	eng := &Engine{el: el, opt: opt, p: p}
-	switch opt.Space {
-	case graph.LoopyVertex, graph.MultigraphVertex:
+	eng := &Engine{el: el, opt: opt, p: p, directed: directed}
+	switch {
+	case directed:
+		eng.useTable = true
+		eng.accept = acceptDirected
+	case opt.Space == graph.LoopyVertex || opt.Space == graph.MultigraphVertex:
 		// Serial exact-MH cells: no table, no permutation.
 		eng.vertexMH = true
-	case graph.MultigraphStub:
+	case opt.Space == graph.MultigraphStub:
 		// Every proposal is accepted, so the register/clear phases and
 		// the table itself are dead weight; only permute-and-commit runs.
 		eng.accept = acceptAll
-	case graph.LoopyStub:
+	case opt.Space == graph.LoopyStub:
 		eng.useTable = true
 		eng.accept = acceptLoopyStub
 	default: // SimpleStub, SimpleVertex: one regime, see graph.Space.
@@ -381,14 +410,32 @@ func NewEngine(el *graph.EdgeList, opt Options) *Engine {
 				}
 				edges[i], edges[j] = g, hh
 				if swapped != nil {
-					if swapped[i] == 0 {
-						swapped[i] = 1
-						newly++
-					}
-					if swapped[j] == 0 {
-						swapped[j] = 1
-						newly++
-					}
+					newly += markSwapped(swapped, i) + markSwapped(swapped, j)
+				}
+				local++
+			}
+		}
+		eng.successes[w].V = local
+		eng.newly[w].V = newly
+	}
+	eng.triangleBody = func(w int, r par.Range) {
+		edges := eng.el.Edges
+		wtr := eng.writers[w]
+		stop := eng.stop
+		swapped := eng.swapped
+		var local, newly int64
+		//nullgraph:cancelable
+		for b := r.Begin; b < r.End; b += sweepBlock {
+			if stop.Stopped() {
+				break
+			}
+			for k, e := b, min(b+sweepBlock, r.End); k < e; k++ {
+				i := 3 * k
+				if !reverseTriangle(wtr, edges[i:i+3:i+3]) {
+					continue
+				}
+				if swapped != nil {
+					newly += markSwapped(swapped, i) + markSwapped(swapped, i+1) + markSwapped(swapped, i+2)
 				}
 				local++
 			}
@@ -447,13 +494,18 @@ func (eng *Engine) bind(el *graph.EdgeList) {
 	}
 	if m >= 2 && eng.useTable {
 		// Worst case insertions per iteration: m initial edges + 2 new
-		// edges per proposing pair = 2m, the table's exact capacity.
+		// edges per proposing pair = 2m, the table's exact capacity; a
+		// directed engine adds 3 per proposing triple, 3m in all.
 		// Counting-only writers: at >= m inserts into <= 8m slots the
 		// iteration always ends above the journal/sweep crossover, so
 		// journaling the slots would be pure per-insert overhead (see the
 		// hashtable package doc).
-		if eng.table == nil || eng.table.Capacity() < 2*m {
-			capacity := 2 * m
+		need := 2 * m
+		if eng.directed {
+			need = 3 * m
+		}
+		if eng.table == nil || eng.table.Capacity() < need {
+			capacity := need
 			if eng.table != nil {
 				// Rebind growth: batch samples over a same-shape input
 				// jitter in edge count, so a little slack absorbs the
@@ -541,14 +593,14 @@ func (eng *Engine) EverSwappedFraction() float64 {
 
 // Step runs one full swap iteration and returns its statistics.
 func (eng *Engine) Step() IterStats {
-	stats, _ := eng.Iterate()
+	stats, _ := eng.iterate()
 	return stats
 }
 
-// Iterate runs one iteration like Step, also reporting whether the stop
+// iterate runs one iteration like Step, also reporting whether the stop
 // flag interrupted it (an interrupted iteration reports no statistics
-// and skips Options.OnIteration). It makes the Engine a Chain.
-func (eng *Engine) Iterate() (IterStats, bool) {
+// and skips Options.OnIteration).
+func (eng *Engine) iterate() (IterStats, bool) {
 	stats, stopped := eng.step()
 	if !stopped && eng.opt.OnIteration != nil {
 		eng.opt.OnIteration(eng.iteration-1, stats)
@@ -633,21 +685,27 @@ func (eng *Engine) step() (IterStats, bool) {
 	pairs := m / 2
 	stats := IterStats{Attempts: int64(pairs)}
 	eng.sweepSeed = sweepSeedFor(eng.opt.Seed, it)
-	for w := range eng.successes {
-		eng.successes[w].V = 0
-		eng.newly[w].V = 0
-	}
-	pool.Run(pairs, eng.sweepBody)
-	for w := range eng.successes {
-		stats.Successes += eng.successes[w].V
-		eng.swappedCount += eng.newly[w].V
-	}
-	if eng.swapped != nil {
-		stats.EverSwapped = eng.EverSwappedFraction()
-	}
+	stats.Successes = eng.runCommits(pairs, eng.sweepBody)
 	if stop.Stopped() {
 		eng.clearTable()
 		return IterStats{}, true
+	}
+
+	// Phase 3b (directed engines only): reverse disjoint directed
+	// triangles. The table still holds every arc present this iteration
+	// plus the pair sweep's insertions — a conservative filter that can
+	// only reject, never corrupt.
+	if eng.directed {
+		triples := m / 3
+		stats.Attempts += int64(triples)
+		stats.Successes += eng.runCommits(triples, eng.triangleBody)
+		if stop.Stopped() {
+			eng.clearTable()
+			return IterStats{}, true
+		}
+	}
+	if eng.swapped != nil {
+		stats.EverSwapped = eng.EverSwappedFraction()
 	}
 
 	// Phase 4: reset the table for the next iteration — a streaming
@@ -666,12 +724,35 @@ func (eng *Engine) step() (IterStats, bool) {
 	return stats, false
 }
 
-// Chain is a swap engine as Drive sees it: Iterate runs one iteration
-// and reports whether the cooperative stop flag interrupted it, in
-// which case its statistics are not reported. Engine and the directed
-// engine are Chains.
-type Chain interface {
-	Iterate() (IterStats, bool)
+// runCommits dispatches a committing phase body over n items and folds
+// its per-worker counters: it returns the phase's commits and adds its
+// newly swapped edges to the ever-swapped count.
+//
+//nullgraph:hotpath
+func (eng *Engine) runCommits(n int, body func(w int, r par.Range)) int64 {
+	for w := range eng.successes {
+		eng.successes[w].V = 0
+		eng.newly[w].V = 0
+	}
+	eng.pool.Run(n, body)
+	var commits int64
+	for w := range eng.successes {
+		commits += eng.successes[w].V
+		eng.swappedCount += eng.newly[w].V
+	}
+	return commits
+}
+
+// markSwapped sets edge i's ever-swapped flag, returning 1 when it was
+// newly set.
+//
+//nullgraph:hotpath
+func markSwapped(swapped []uint8, i int) int64 {
+	if swapped[i] != 0 {
+		return 0
+	}
+	swapped[i] = 1
+	return 1
 }
 
 // Stopper decides how long a chain runs: at most MaxIterations
@@ -707,15 +788,19 @@ func (u UntilMixed) MaxIterations() int { return int(u) }
 // Observe reports whether every edge has swapped.
 func (UntilMixed) Observe(_ int, stats IterStats) bool { return stats.EverSwapped >= 1 }
 
-// Drive is the chain driver: it advances c until st ends the run or
+// MixCap is the until-mixed Stopper of both pipelines' MixUntilSwapped
+// mode: run until every edge has swapped, for at most 128 iterations.
+const MixCap UntilMixed = 128
+
+// Drive is the chain driver: it advances eng until st ends the run or
 // the stop flag interrupts it. The boolean reports whether st.Observe
 // ended the run (false means the budget ran out or the stop flag
 // canceled the run, which Result.Stopped records).
-func Drive(c Chain, st Stopper) (Result, bool) {
+func Drive(eng *Engine, st Stopper) (Result, bool) {
 	n := st.MaxIterations()
 	result := Result{PerIteration: make([]IterStats, 0, n)}
 	for it := 0; it < n; it++ {
-		stats, stopped := c.Iterate()
+		stats, stopped := eng.iterate()
 		if stopped {
 			result.Stopped = true
 			return result, false

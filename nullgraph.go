@@ -37,7 +37,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"nullgraph/internal/chunglu"
 	"nullgraph/internal/connected"
@@ -268,16 +267,8 @@ func (o Options) recorder() *obs.Recorder {
 // and double-edge swapping (Section III-A) — the quantities Figure 6
 // plots and cmd/nullgraphd aggregates into its /metrics endpoint.
 // Phases a run did not execute (e.g. Shuffle never generates) are zero.
-type PhaseTimes struct {
-	Probabilities  time.Duration
-	EdgeGeneration time.Duration
-	Swapping       time.Duration
-}
-
 // Total returns the end-to-end pipeline time.
-func (p PhaseTimes) Total() time.Duration {
-	return p.Probabilities + p.EdgeGeneration + p.Swapping
-}
+type PhaseTimes = core.PhaseTimes
 
 // Result is the output of Generate or Shuffle.
 type Result struct {
@@ -311,15 +302,11 @@ func wrapResult(out *core.Result, rec *obs.Recorder) *Result {
 	res := &Result{
 		Graph:          out.Graph,
 		SwapIterations: out.Swaps.PerIteration,
-		Phases: PhaseTimes{
-			Probabilities:  out.Phases.Probabilities,
-			EdgeGeneration: out.Phases.EdgeGeneration,
-			Swapping:       out.Phases.Swapping,
-		},
-		Simplify:     out.Simplify,
-		Connectivity: out.Connectivity,
-		Mixed:        out.Mixed,
-		Stop:         out.Stop,
+		Phases:         out.Phases,
+		Simplify:       out.Simplify,
+		Connectivity:   out.Connectivity,
+		Mixed:          out.Mixed,
+		Stop:           out.Stop,
 	}
 	if rec != nil {
 		res.Report = rec.Report()
@@ -342,20 +329,9 @@ func Generate(dist *DegreeDistribution, opt Options) (*Result, error) {
 // sample is abandoned, and ctx.Err() is returned. A ctx already
 // canceled on entry returns before any work.
 func GenerateContext(ctx context.Context, dist *DegreeDistribution, opt Options) (*Result, error) {
-	if err := ctxEntryErr(ctx); err != nil {
-		return nil, err
-	}
-	stop, release := par.WatchContext(ctx)
-	defer release()
-	copt := opt.core()
-	rec := opt.recorder()
-	copt.Recorder = rec
-	copt.Stop = stop
-	out, err := core.FromDistribution(dist, copt)
-	if err != nil {
-		return nil, ctxError(ctx, err)
-	}
-	return wrapResult(out, rec), nil
+	eng := NewEngine(opt)
+	defer eng.Close()
+	return eng.GenerateContext(ctx, dist)
 }
 
 // Shuffle mixes an existing graph in place with parallel double-edge
@@ -377,20 +353,9 @@ func Shuffle(g *Graph, opt Options) (*Result, error) {
 // swaps committed before the stop are kept. A ctx already canceled on
 // entry leaves g untouched.
 func ShuffleContext(ctx context.Context, g *Graph, opt Options) (*Result, error) {
-	if err := ctxEntryErr(ctx); err != nil {
-		return nil, err
-	}
-	stop, release := par.WatchContext(ctx)
-	defer release()
-	copt := opt.core()
-	rec := opt.recorder()
-	copt.Recorder = rec
-	copt.Stop = stop
-	out, err := core.FromEdgeList(g, copt)
-	if err != nil {
-		return nil, ctxError(ctx, err)
-	}
-	return wrapResult(out, rec), nil
+	eng := NewEngine(opt)
+	defer eng.Close()
+	return eng.ShuffleContext(ctx, g)
 }
 
 // NewGraph wraps an edge slice with an explicit vertex count, validating
@@ -495,7 +460,7 @@ func LFRContext(ctx context.Context, cfg LFRConfig) (*LFRResult, error) {
 // GenerateLayered builds a graph from explicit per-vertex degrees and an
 // arbitrary hierarchy of layers whose Lambda shares sum to 1.
 func GenerateLayered(degrees []int64, layers []Layer, opt Options) (*LFRResult, error) {
-	return lfr.GenerateLayered(degrees, layers, opt.core())
+	return lfr.GenerateLayered(degrees, layers, opt.core(), nil)
 }
 
 // GenerateOverlapping builds a graph with overlapping communities
